@@ -2,7 +2,8 @@
 
 Exact-rational inputs stay exact; anything float degrades to compensated
 float summation. Factorial-sized magnitudes are handled in log space via
-lgamma so no integer factorial product is ever formed for bounds.
+lgamma so no integer factorial product is ever formed for bounds.  This
+is the only module that knows about scipy, and it loads it lazily.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ def is_exact(x) -> bool:
 def safe_exp(x: float) -> float:
     """math.exp that saturates to +inf instead of raising OverflowError."""
     return math.inf if x > MAX_EXP_ARG else math.exp(x)
+
+
+def quad(fn, lo, hi, **kw):
+    """scipy.integrate.quad, with scipy imported on the first call.
+
+    Only the quadrature cross-checks integrate, so importing fchi and
+    every closed-form or exact route never pays for loading scipy.
+    """
+    from scipy import integrate
+
+    return integrate.quad(fn, lo, hi, **kw)
 
 
 def exact_or_fsum(terms: Sequence):

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from ._num import (
     MAX_EXP_ARG,
@@ -34,6 +33,7 @@ from ._num import (
     format_real,
     multinomial,
     pascal_row,
+    quad,
 )
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .families import (
@@ -45,7 +45,6 @@ from .families import (
     PairSpec,
     Poisson,
     TruncatedExponential,
-    VonMisesFisher,
 )
 
 __all__ = [
@@ -326,15 +325,6 @@ def _log_ratio_shift(log_r: float, lam: float):
     return (1 if v > 0 else -1), math.log(abs(v))
 
 
-def _quad_mix_density(fam, mixture):
-    def q_of(x):
-        return math.fsum(
-            w * fam.density(x, fam.theta(t))
-            for w, t in zip(mixture.weights, mixture.thetas)
-        )
-    return q_of
-
-
 def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
                       theta_q=None, mixture: Optional[MixtureSpec] = None,
                       absolute: bool = False) -> float:
@@ -348,7 +338,7 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
     lam = _check_lam(lam)
     if (theta_q is None) == (mixture is None):
         raise InputError("give exactly one of theta_q and mixture")
-    if isinstance(fam, VonMisesFisher) or not fam.has_density:
+    if not fam.has_density:
         raise InputError(f"{fam.describe()} exposes no density to integrate")
     lam_f = float(lam)
     tp = fam.theta(theta_p)
@@ -412,15 +402,14 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
             lo = mu - i * gap - 50.0
             hi = mu + i * gap + 50.0
             pts = [mu, mu + i * gap]
-            val, _ = integrate.quad(integrand, lo, hi, points=pts, **_QUAD_KW)
+            val, _ = quad(integrand, lo, hi, points=pts, **_QUAD_KW)
             return val
         if fam.d != 1:
             raise InputError(
                 "gaussian mixture quadrature cross-check supports d = 1 only"
             )
-        q_of = _quad_mix_density(fam, mixture)
-        centers = [float(np.asarray(t, float).reshape(()))
-                   for t in mixture.thetas] + [float(tp.reshape(()))]
+        q_of, thetas = mixture.density_fn(fam)
+        centers = [float(t.reshape(())) for t in thetas + [tp]]
         span = max(centers) - min(centers)
         lo = min(centers) - (i + 1) * span - 50.0
         hi = max(centers) + (i + 1) * span + 50.0
@@ -431,8 +420,7 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
                 return 0.0
             return px * power(q_of(x) / px)
 
-        val, _ = integrate.quad(integrand, lo, hi, points=sorted(centers),
-                                **_QUAD_KW)
+        val, _ = quad(integrand, lo, hi, points=sorted(centers), **_QUAD_KW)
         return val
 
     if isinstance(fam, TruncatedExponential):
@@ -449,7 +437,8 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
                 )
             q_of = lambda x: fam.density(x, tq)
         else:
-            t_cs = [float(fam.theta(t).reshape(())) for t in mixture.thetas]
+            q_of, thetas = mixture.density_fn(fam)
+            t_cs = [float(t.reshape(())) for t in thetas]
             if not fam.doubly and any(
                     i * tc - (i - 1) * t_p <= 0.0 for tc in t_cs):
                 raise DivergenceError(
@@ -457,7 +446,6 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
                     f"{fam.describe()}: convergence requires {i}*theta_c - "
                     f"{i - 1}*theta_p > 0 for every component c"
                 )
-            q_of = _quad_mix_density(fam, mixture)
 
         def integrand(x):
             px = fam.density(x, tp)
@@ -465,10 +453,8 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
                 return 0.0
             return px * power(q_of(x) / px)
 
-        if fam.doubly:
-            val, _ = integrate.quad(integrand, fam.a, fam.b, **_QUAD_KW)
-        else:
-            val, _ = integrate.quad(integrand, fam.a, np.inf, **_QUAD_KW)
+        hi = fam.b if fam.doubly else np.inf
+        val, _ = quad(integrand, fam.a, hi, **_QUAD_KW)
         return val
 
     raise InputError(f"no quadrature route for {fam.describe()}")

@@ -153,16 +153,12 @@ class AefFamily:
     """Base for the exponential-family descriptors.
 
     Subclasses set `name`, `dim` and `has_density`, and implement
-    `log_normalizer`, `in_domain`, and the parameter maps.  `support`
-    describes where quadrature or summation oracles should work:
-    ("real_line",), ("integers",), ("atoms", n), ("interval", lo, hi), or
-    None when no density is exposed.
+    `log_normalizer`, `in_domain`, and the parameter maps.
     """
 
     name: str = ""
     dim: int = 0
     has_density: bool = False
-    support: Optional[tuple] = None
 
     # -- parameters ---------------------------------------------------------
 
@@ -228,7 +224,6 @@ class GaussianIso(AefFamily):
         object.__setattr__(self, "name", "gaussian_iso")
         object.__setattr__(self, "dim", self.d)
         object.__setattr__(self, "has_density", True)
-        object.__setattr__(self, "support", ("real_line",))
 
     def log_normalizer(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -263,7 +258,6 @@ class Poisson(AefFamily):
         object.__setattr__(self, "name", "poisson")
         object.__setattr__(self, "dim", 1)
         object.__setattr__(self, "has_density", True)
-        object.__setattr__(self, "support", ("integers",))
 
     def log_normalizer(self, theta):
         return math.exp(float(np.asarray(theta).reshape(())))
@@ -310,7 +304,6 @@ class Categorical(AefFamily):
         object.__setattr__(self, "name", "categorical")
         object.__setattr__(self, "dim", self.d)
         object.__setattr__(self, "has_density", True)
-        object.__setattr__(self, "support", ("atoms", self.d + 1))
 
     def log_normalizer(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -393,7 +386,6 @@ class VonMisesFisher(AefFamily):
         object.__setattr__(self, "name", "vmf")
         object.__setattr__(self, "dim", self.d)
         object.__setattr__(self, "has_density", False)
-        object.__setattr__(self, "support", None)
 
     def log_normalizer(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -440,7 +432,6 @@ class TruncatedExponential(AefFamily):
         object.__setattr__(self, "name", "trunc_exp")
         object.__setattr__(self, "dim", 1)
         object.__setattr__(self, "has_density", True)
-        object.__setattr__(self, "support", ("interval", self.a, self.b))
 
     @property
     def doubly(self) -> bool:
@@ -581,6 +572,21 @@ class MixtureSpec:
         for t in self.thetas:
             fam.theta(t)
         return self
+
+    def density_fn(self, fam: AefFamily):
+        """(x -> sum_c w_c p(x; theta_c), the validated component thetas).
+
+        The thetas are validated once here, not at every point an
+        integrator visits.
+        """
+        thetas = [fam.theta(t) for t in self.thetas]
+
+        def q_of(x):
+            return math.fsum(
+                w * fam.density(x, t) for w, t in zip(self.weights, thetas)
+            )
+
+        return q_of, thetas
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from ._num import MAX_EXP_ARG, log_factorial, partitions
+from ._num import MAX_EXP_ARG, log_factorial, partitions, safe_exp
 
 __all__ = [
     "Generator",
@@ -43,12 +43,6 @@ __all__ = [
 ]
 
 Number = Union[int, float, Fraction]
-
-
-def _safe_exp(x: float) -> float:
-    if x > MAX_EXP_ARG:
-        return math.inf
-    return math.exp(x)
 
 
 def generalized_binomial(gamma: Number, i: int) -> Number:
@@ -116,7 +110,7 @@ def _neg_power_sup(k_log_coeff: float, power: int, m: float) -> float:
     """sup of exp(k_log_coeff) * u^(-power) on [m, M], attained at u = m."""
     if m == 0.0:
         return math.inf
-    return _safe_exp(k_log_coeff - power * math.log(m))
+    return safe_exp(k_log_coeff - power * math.log(m))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +170,7 @@ def jeffreys() -> Generator:
         # |f^(k+1)(u)| = (k-1)! (u+k) / u^(k+1), decreasing
         if m == 0.0:
             return math.inf
-        return _safe_exp(
+        return safe_exp(
             log_factorial(k - 1) + math.log(m + k) - (k + 1) * math.log(m)
         )
 
@@ -205,10 +199,10 @@ def jensen_shannon() -> Generator:
         # |f^(k+1)(u)| = (k-1)! (u^-k - (u+1)^-k), decreasing
         if m == 0.0:
             return math.inf
-        a = _safe_exp(-k * math.log(m))
+        a = safe_exp(-k * math.log(m))
         if math.isinf(a):
             return math.inf
-        return _safe_exp(log_factorial(k - 1)) * (a - (m + 1.0) ** (-k))
+        return safe_exp(log_factorial(k - 1)) * (a - (m + 1.0) ** (-k))
 
     @functools.lru_cache(maxsize=None)
     def coeff(i):
@@ -231,7 +225,7 @@ def harmonic() -> Generator:
 
     def sup(k, m, M):
         # |f^(k+1)(u)| = 2 (k+1)! / (u+1)^(k+2), decreasing, finite at m=0
-        return _safe_exp(
+        return safe_exp(
             math.log(2.0) + log_factorial(k + 1) - (k + 2) * math.log1p(m)
         )
 
@@ -255,9 +249,9 @@ def exponential() -> Generator:
     def coeff(i):
         if i <= 170:
             return math.e / float(math.factorial(i))
-        return _safe_exp(1.0 - log_factorial(i))
+        return safe_exp(1.0 - log_factorial(i))
 
-    return Generator("exp", 0, 0, coeff, ev, lambda k, m, M: _safe_exp(M))
+    return Generator("exp", 0, 0, coeff, ev, lambda k, m, M: safe_exp(M))
 
 
 def _alpha_exact(a: Fraction) -> bool:
@@ -273,7 +267,7 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
     if a_f in (1.0, -1.0):
         raise ValueError("alpha = +-1 has no power-type generator; use kl/rkl")
     gamma_f = 0.5 * (1.0 + a_f)
-    name = f"alpha:{key}" if not isinstance(key, Fraction) else f"alpha:{key}"
+    name = f"alpha:{key}"
 
     # memoized: the generalized binomial rebuilds an O(i) product per
     # call, which dominates batch loops that sweep the same orders
@@ -307,7 +301,7 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
     @functools.lru_cache(maxsize=None)
     def sup(k, m, M):
         mag = abs(lead) * abs(float(generalized_binomial(gamma_f, k + 1)))
-        mag *= float(math.factorial(k + 1)) if k + 1 <= 170 else _safe_exp(
+        mag *= float(math.factorial(k + 1)) if k + 1 <= 170 else safe_exp(
             log_factorial(k + 1)
         )
         if mag == 0.0:
@@ -319,7 +313,7 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
                 return math.inf if expo < 0 else (mag if expo == 0 else 0.0)
             if math.isinf(u):
                 return math.inf if expo > 0 else (mag if expo == 0 else 0.0)
-            return _safe_exp(math.log(mag) + expo * math.log(u))
+            return safe_exp(math.log(mag) + expo * math.log(u))
 
         return max(piece(m), piece(M))
 

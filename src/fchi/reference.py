@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
-from scipy import integrate
 
-from ._num import MAX_EXP_ARG, is_exact
+from ._num import MAX_EXP_ARG, is_exact, quad
 from .errors import InputError
 from .families import (
     AefFamily,
     Categorical,
     DiscreteDistribution,
     GaussianIso,
-    MixtureSpec,
     PairSpec,
     Poisson,
     TruncatedExponential,
@@ -110,20 +108,6 @@ def exact_alpha_aef(alpha: Number, fam: AefFamily, theta_p, theta_q) -> float:
     return -lead * math.expm1(gap)
 
 
-def _pair_q_of(fam: AefFamily, theta_q, mixture: Optional[MixtureSpec]):
-    if mixture is None:
-        tq = fam.theta(theta_q)
-        return lambda x: fam.density(x, tq), [tq]
-    thetas = [fam.theta(t) for t in mixture.thetas]
-
-    def q_of(x):
-        return math.fsum(
-            w * fam.density(x, t) for w, t in zip(mixture.weights, thetas)
-        )
-
-    return q_of, thetas
-
-
 # integration targets absolute accuracy 1e-10; the caller sees the
 # integrator's own error estimate and can judge whether that was met
 _QUAD_KW = {"limit": 300, "epsabs": 1e-10, "epsrel": 1e-12}
@@ -148,7 +132,11 @@ def quadrature_f_divergence(gen: Generator, pair: PairSpec):
         raise InputError(f"{fam.describe()} exposes no density to integrate")
     mixture = pair.mixture if pair.kind == "mixture" else None
     tp = fam.theta(pair.theta_p)
-    q_of, q_thetas = _pair_q_of(fam, pair.theta_q, mixture)
+    if mixture is None:
+        tq = fam.theta(pair.theta_q)
+        q_of, q_thetas = (lambda x: fam.density(x, tq)), [tq]
+    else:
+        q_of, q_thetas = mixture.density_fn(fam)
 
     def term(px: float, qx: float) -> float:
         if px == 0.0:
@@ -157,11 +145,10 @@ def quadrature_f_divergence(gen: Generator, pair: PairSpec):
 
     if isinstance(fam, Categorical):
         p = DiscreteDistribution([float(v) for v in fam.source_param(tp)])
-        acc = np.zeros(fam.d + 1)
         if mixture is None:
             acc = np.asarray(fam.source_param(q_thetas[0]))
-            weightings = None
         else:
+            acc = np.zeros(fam.d + 1)
             for w, t in zip(mixture.weights, q_thetas):
                 acc = acc + w * np.asarray(fam.source_param(t))
         q = DiscreteDistribution([float(v) for v in acc])
@@ -199,8 +186,8 @@ def quadrature_f_divergence(gen: Generator, pair: PairSpec):
 
             lo = mu - _SIGMA_SPAN
             hi = mu + gap + _SIGMA_SPAN
-            val, err = integrate.quad(integrand, lo, hi,
-                                      points=[mu, mu + gap], **_QUAD_KW)
+            val, err = quad(integrand, lo, hi, points=[mu, mu + gap],
+                            **_QUAD_KW)
             return val, err
         if fam.d != 1:
             raise InputError(
@@ -212,7 +199,7 @@ def quadrature_f_divergence(gen: Generator, pair: PairSpec):
         def integrand(x):
             return term(fam.density(x, tp), q_of(x))
 
-        val, err = integrate.quad(
+        val, err = quad(
             integrand, min(centers) - _SIGMA_SPAN, max(centers) + _SIGMA_SPAN,
             points=sorted(centers), **_QUAD_KW,
         )
@@ -224,7 +211,7 @@ def quadrature_f_divergence(gen: Generator, pair: PairSpec):
             return term(fam.density(x, tp), q_of(x))
 
         hi = fam.b if fam.doubly else np.inf
-        val, err = integrate.quad(integrand, fam.a, hi, **_QUAD_KW)
+        val, err = quad(integrand, fam.a, hi, **_QUAD_KW)
         return val, err
 
     raise InputError(f"no quadrature route for {fam.describe()}")

@@ -417,6 +417,10 @@ class TestQuadratureRoute:
         with pytest.raises(InputError):
             chi_pm_quadrature(2, 1, vmf(3), [1.0, 0.0, 0.0],
                               theta_q=[0.0, 1.0, 0.0])
+        # a malformed component is refused before any integration starts
+        bad = MixtureSpec([0.5, 0.5], ([0.0, 1.0], [1.0]))
+        with pytest.raises(InputError, match="1-dimensional"):
+            chi_pm_quadrature(2, 1, fam, 0.0, mixture=bad)
 
 
 class TestTruncExpClosedForm:

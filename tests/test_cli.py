@@ -1,10 +1,19 @@
-"""End-to-end tests of the command line front end (in-process)."""
+"""End-to-end tests of the command line front end.
+
+All run in-process except TestLazyScipy, which needs a fresh interpreter
+to see which modules an invocation loads.
+"""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Fr
 
 import pytest
 
+import fchi
 from fchi.chi import chi_pm_discrete
 from fchi.cli import main
 from fchi.errors import OverflowSaturationError
@@ -421,3 +430,41 @@ class TestOutputTarget:
                            "--orders", "2")
         assert code == 2
         assert "cannot read spec file" in err
+
+
+class TestLazyScipy:
+    """Only the quadrature routes load scipy.integrate."""
+
+    CHILD = textwrap.dedent("""
+        import contextlib, io, sys
+        from fchi.cli import main
+        gauss, worked = sys.argv[1:]
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = [
+                main(["chi", "--spec", gauss, "--orders", "2..6"]),
+                main(["batch", "--spec", worked, "--generators", "kl,js,exp",
+                      "-k", "10"]),
+                main(["expand", "--spec", worked, "--generator", "exp",
+                      "-k", "10", "--with-remainder"]),
+            ]
+        print(codes, "scipy.integrate" in sys.modules)
+        main(["exact", "--spec", gauss, "--generator", "kl", "--quadrature"])
+        print("scipy.integrate" in sys.modules)
+    """)
+
+    def test_closed_form_commands_never_import_scipy(self):
+        pkg_root = os.path.dirname(os.path.dirname(fchi.__file__))
+        path = [pkg_root, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, GAUSS_SPEC, WORKED_SPEC],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "[0, 0, 0] False\n"
+            "generator,value,method\n"
+            "kl,0.5,quadrature\n"
+            "True\n"
+        )
