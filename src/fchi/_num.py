@@ -59,31 +59,6 @@ def pascal_row(n: int) -> list[int]:
     return row
 
 
-def partitions(n: int) -> Iterable[dict[int, int]]:
-    """Integer partitions of n as {part: multiplicity} dicts.
-
-    Ordering is deterministic (largest first part descending). Used by the
-    Faa di Bruno sum; p(n) grows slowly enough that enumeration is cheap
-    for every order this package supports.
-    """
-    if n < 0:
-        raise ValueError("partitions needs n >= 0")
-
-    def _gen(remaining: int, cap: int, acc: dict[int, int]):
-        if remaining == 0:
-            yield dict(acc)
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            acc[part] = acc.get(part, 0) + 1
-            yield from _gen(remaining - part, part, acc)
-            if acc[part] == 1:
-                del acc[part]
-            else:
-                acc[part] -= 1
-
-    yield from _gen(n, n, {})
-
-
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """All ordered tuples of `parts` nonnegative ints summing to `total`."""
     if parts <= 0:

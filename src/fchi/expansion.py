@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from ._num import format_real, is_exact, log_factorial, safe_exp
+from ._num import exact_or_fsum, format_real, is_exact, log_factorial, safe_exp
 from .chi import ChiBasis, compute_basis
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .families import PairSpec, ratio_bounds_discrete
@@ -141,9 +141,7 @@ def chi_expansion(gen: Generator, basis: ChiBasis, k: Optional[int] = None):
     terms = [gen.f_at_one] + [
         t for i, t in zip(basis.orders, expansion_terms(gen, basis)) if i <= k
     ]
-    if all(is_exact(t) for t in terms):
-        return sum(terms)
-    return math.fsum(float(t) for t in terms)
+    return exact_or_fsum(terms)
 
 
 def remainder_bound(gen: Generator, k: int, bounds: RatioBounds,
@@ -397,15 +395,4 @@ def alpha_odd_expansion(alpha: int, source):
             f"alpha = {alpha} needs chi orders up to {cut}; basis stops at "
             f"{basis.max_order}"
         )
-    gen = alpha_generator(alpha)
-    terms = []
-    for i in range(2, cut + 1):
-        c = gen.coeff(i)
-        v = basis.value(i)
-        if is_exact(c) and is_exact(v):
-            terms.append(Fraction(c) * Fraction(v))
-        else:
-            terms.append(float(c) * float(v))
-    if all(is_exact(t) for t in terms):
-        return sum(terms)
-    return math.fsum(float(t) for t in terms)
+    return chi_expansion(alpha_generator(alpha), basis, cut)

@@ -427,7 +427,8 @@ class TruncatedExponential(AefFamily):
     def __post_init__(self):
         if not math.isfinite(self.a):
             raise InputError("trunc_exp needs a finite left endpoint")
-        if self.b <= self.a:
+        if not self.b > self.a:
+            # written so that a NaN b is refused, not read as singly truncated
             raise InputError(f"need a < b, got a={self.a}, b={self.b}")
         object.__setattr__(self, "name", "trunc_exp")
         object.__setattr__(self, "dim", 1)

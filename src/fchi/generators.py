@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from ._num import MAX_EXP_ARG, log_factorial, partitions, safe_exp
+from ._num import MAX_EXP_ARG, exact_or_fsum, log_factorial, safe_exp
 
 __all__ = [
     "Generator",
@@ -296,7 +296,10 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
             # u^gamma -> 0 for gamma > 0 (alpha > -1), else the term blows up
             return lead if a_f > -1.0 else math.inf
         # (1 - u^gamma) = -expm1(gamma log u), accurate near u = 1
-        return -lead * math.expm1(gamma_f * math.log(u))
+        expo = gamma_f * math.log(u)
+        if expo > MAX_EXP_ARG:
+            return math.copysign(math.inf, -lead)
+        return -lead * math.expm1(expo)
 
     @functools.lru_cache(maxsize=None)
     def sup(k, m, M):
@@ -442,106 +445,47 @@ def catalog_coeff(gen: Generator, i: int) -> Number:
 # conjugation
 
 
-def _derivs_at_one(gen: Generator, n_max: int) -> list:
-    derivs = [gen.f_at_one, gen.fprime_at_one]
-    fact = 1
-    for i in range(2, n_max + 1):
-        fact *= i
-        c = gen.coeff(i)
-        derivs.append(c * fact if isinstance(c, (int, Fraction)) else c * float(fact))
-    return derivs
+def _conjugate_coeff(gen: Generator, i: int) -> Number:
+    """c*_i = (-1)^i * sum_{m=2..i} C(i-2, m-2) c_m, exact for exact c_m."""
+    total = exact_or_fsum([math.comb(i - 2, m - 2) * gen.coeff(m)
+                           for m in range(2, i + 1)])
+    return -total if i % 2 else total
 
 
 def conjugate_coeffs(gen: Generator, k_max: int) -> list:
     """Taylor coefficients of the conjugate f*(u) = u f(1/u), orders 2..k_max.
 
-    f* generates the reversed divergence: I_{f*}(p:q) = I_f(q:p).  The
-    chain rule for f(1/u) collapses at u = 1 by Faa di Bruno over integer
-    partitions; with g(u) = 1/u, g^(j)(1) = (-1)^j j!, the (j!)^m_j factors
-    cancel and
+    f* generates the reversed divergence: I_{f*}(p:q) = I_f(q:p).  With
+    u = 1 + t, u f(1/u) = (1+t) f(1) - f'(1) t + sum_m c_m (-t)^m (1+t)^(1-m),
+    and the binomial series of (1+t)^(1-m) gives, for every i >= 2,
 
-        h^(n)(1) = (-1)^n n! * sum over partitions of n of
-                   f^(m)(1) / prod_j m_j!
+        c*_i = (-1)^i * sum_{m=2..i} C(i-2, m-2) c_m
 
-    where m counts the parts.  Then (f*)^(i)(1) = h^(i)(1) + i h^(i-1)(1).
-    Exact inputs give exact rational output.
+    so f(1) and f'(1) enter only the affine part.  Exact inputs give exact
+    rational output; float coefficients are summed with math.fsum.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    f_derivs = _derivs_at_one(gen, k_max)
-    exact = all(isinstance(v, (int, Fraction)) for v in f_derivs)
-
-    h = [f_derivs[0]]
-    for n in range(1, k_max + 1):
-        acc: Number = Fraction(0) if exact else 0.0
-        for part in partitions(n):
-            m_total = sum(part.values())
-            denom = 1
-            for mult in part.values():
-                denom *= math.factorial(mult)
-            if exact:
-                acc += Fraction(1, denom) * f_derivs[m_total]
-            else:
-                acc += float(f_derivs[m_total]) / denom
-        sign = -1 if n % 2 else 1
-        fact_n = math.factorial(n)
-        h.append(sign * fact_n * acc if exact else sign * float(fact_n) * acc)
-
-    out = []
-    for i in range(2, k_max + 1):
-        num = h[i] + i * h[i - 1]
-        fact_i = math.factorial(i)
-        out.append(num / fact_i if exact else float(num) / float(fact_i))
-    return out
+    return [_conjugate_coeff(gen, i) for i in range(2, k_max + 1)]
 
 
 def conjugate_generator(gen: Generator, k_max: int = 64) -> Generator:
-    """Generator object for f*(u) = u f(1/u), coefficients via Faa di Bruno.
+    """Generator object for f*(u) = u f(1/u), orders 2..k_max.
 
-    Coefficients are computed on demand and cached, one order at a time;
-    the partition sums get expensive near order 64, and most callers only
-    ever evaluate or ask for low orders.  deriv_sup reports +inf (no
-    monotone closed form is claimed for conjugates); eval at 0
-    approximates the u -> 0+ limit numerically.
+    Coefficient i is the binomial sum of `conjugate_coeffs`, computed on
+    demand and cached; orders above k_max raise ValueError.  f*(1) = f(1)
+    and f*'(1) = f(1) - f'(1).  deriv_sup reports +inf (no monotone
+    closed form is claimed for conjugates); eval at 0 approximates the
+    u -> 0+ limit numerically.
     """
-    derivs = [gen.f_at_one, gen.fprime_at_one]
-    h = [gen.f_at_one]
 
-    def _extend_h(n_target: int) -> None:
-        while len(h) <= n_target:
-            n = len(h)
-            while len(derivs) <= n:
-                j = len(derivs)
-                c = gen.coeff(j)
-                fj = math.factorial(j)
-                derivs.append(
-                    c * fj if isinstance(c, (int, Fraction)) else c * float(fj)
-                )
-            exact = all(isinstance(v, (int, Fraction)) for v in derivs)
-            acc: Number = Fraction(0) if exact else 0.0
-            for part in partitions(n):
-                m_total = sum(part.values())
-                denom = 1
-                for mult in part.values():
-                    denom *= math.factorial(mult)
-                if exact:
-                    acc += Fraction(1, denom) * derivs[m_total]
-                else:
-                    acc += float(derivs[m_total]) / denom
-            sign = -1 if n % 2 else 1
-            fact_n = math.factorial(n)
-            h.append(sign * fact_n * acc if exact else sign * float(fact_n) * acc)
-
+    @functools.lru_cache(maxsize=None)
     def coeff(i):
         if i > k_max:
             raise ValueError(
                 f"conjugate of {gen.name!r} built up to order {k_max}, asked for {i}"
             )
-        _extend_h(i)
-        num = h[i] + i * h[i - 1]
-        if isinstance(num, (int, Fraction)):
-            return num / Fraction(math.factorial(i))
-        return float(num) / float(math.factorial(i))
+        return _conjugate_coeff(gen, i)
 
     def ev(u):
         if u == 0:

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from ._num import MAX_EXP_ARG, is_exact, quad
+from ._num import MAX_EXP_ARG, exact_or_fsum, quad
 from .errors import InputError
 from .families import (
     AefFamily,
@@ -66,9 +66,7 @@ def exact_f_divergence_discrete(gen: Generator, p: DiscreteDistribution,
         if val == math.inf:
             return math.inf
         terms.append(ps * val)
-    if terms and all(is_exact(t) for t in terms):
-        return sum(terms)
-    return math.fsum(float(t) for t in terms)
+    return exact_or_fsum(terms)
 
 
 def exact_alpha_aef(alpha: Number, fam: AefFamily, theta_p, theta_q) -> float:

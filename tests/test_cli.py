@@ -132,6 +132,14 @@ class TestChiCommand:
                            "--orders", "3", "--lam", "0")
         assert code == 2
 
+    def test_nan_interval_end_rejected(self, capsys):
+        spec = ('{"kind": "aef", "family": "trunc_exp", "a": 0, "b": NaN, '
+                '"theta_p": [2.0], "theta_q": [1.5]}')
+        code, out, err = run(capsys, "chi", "--spec", spec, "--orders", "2")
+        assert code == 2
+        assert out == ""
+        assert "b=nan" in err
+
     def test_malformed_spec_rejected(self, capsys):
         code, _, err = run(capsys, "chi", "--spec", '{"kind": "discrete"}',
                            "--orders", "2")
@@ -296,6 +304,12 @@ class TestExactCommand:
         _, rows = rows_of(out)
         assert float(rows[0][1]) == pytest.approx(0.5, rel=1e-9)
         assert rows[0][2] == "quadrature"
+
+    def test_quadrature_alpha_past_float_range_is_inf(self, capsys):
+        code, out, _ = run(capsys, "exact", "--spec", BAD_TRUNC_SPEC,
+                           "--generator", "alpha:3", "--quadrature")
+        assert code == 0
+        assert out == "generator,value,method\nalpha:3,inf,quadrature\n"
 
     def test_no_exact_route_suggests_quadrature(self, capsys):
         code, _, err = run(capsys, "exact", "--spec", GAUSS_SPEC,

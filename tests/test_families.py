@@ -325,6 +325,8 @@ class TestTruncatedExponential:
             trunc_exp(2.0, 1.0)
         with pytest.raises(InputError):
             trunc_exp(math.inf)
+        with pytest.raises(InputError):
+            trunc_exp(0.0, math.nan)
 
 
 def test_family_from_name():
@@ -395,6 +397,13 @@ class TestLoadPairSpec:
         )
         assert pair.fam.doubly
         assert pair.fam.b == 4.0
+
+    def test_trunc_exp_nan_right_end_rejected(self):
+        with pytest.raises(InputError, match="need a < b"):
+            load_pair_spec(
+                '{"kind": "aef", "family": "trunc_exp", "a": 0, "b": NaN, '
+                '"theta_p": [2.0], "theta_q": [1.5]}'
+            )
 
     def test_mixture(self):
         pair = load_pair_spec(

@@ -136,6 +136,13 @@ def test_alpha_rejects_unit_values():
             alpha_generator(bad)
 
 
+def test_alpha_eval_saturates_past_float_range():
+    # u^gamma overflows here; f is +inf on both sides of the range
+    assert alpha_generator(3).eval(1e300) == math.inf
+    assert alpha_generator(-3).eval(5e-324) == math.inf
+    assert alpha_generator(5).eval(1e250) == math.inf
+
+
 def test_alpha_eval_matches_oracle():
     for alpha in (3, -3, 0, 0.5):
         gen = alpha_generator(alpha)
@@ -253,22 +260,22 @@ def test_deriv_sup_validation():
 
 
 def test_conjugate_swaps_kl_and_rkl():
-    conj = conjugate_coeffs(kl(), 15)
-    want = [reverse_kl().coeff(i) for i in range(2, 16)]
+    conj = conjugate_coeffs(kl(), 64)
+    want = [reverse_kl().coeff(i) for i in range(2, 65)]
     assert conj == want
-    conj_back = conjugate_coeffs(reverse_kl(), 15)
-    assert conj_back == [kl().coeff(i) for i in range(2, 16)]
+    conj_back = conjugate_coeffs(reverse_kl(), 64)
+    assert conj_back == [kl().coeff(i) for i in range(2, 65)]
 
 
 @pytest.mark.parametrize("factory", [jeffreys, jensen_shannon, harmonic])
 def test_symmetric_generators_are_self_conjugate(factory):
     gen = factory()
-    assert conjugate_coeffs(gen, 14) == [gen.coeff(i) for i in range(2, 15)]
+    assert conjugate_coeffs(gen, 64) == [gen.coeff(i) for i in range(2, 65)]
 
 
 def test_conjugate_alpha_negates_alpha():
-    conj = conjugate_coeffs(alpha_generator(3), 12)
-    want = [alpha_generator(-3).coeff(i) for i in range(2, 13)]
+    conj = conjugate_coeffs(alpha_generator(3), 64)
+    want = [alpha_generator(-3).coeff(i) for i in range(2, 65)]
     assert conj == want
 
 
@@ -292,13 +299,23 @@ def test_conjugation_is_an_involution():
     assert twice == [gen.coeff(i) for i in range(2, 13)]
 
 
-def test_conjugate_float_path():
-    conj = conjugate_coeffs(exponential(), 10)
-    f_star = lambda u: u * oracles.f_exponential(1 / u)
-    coeffs = oracles.taylor_coeffs(f_star, 10)
+@pytest.mark.parametrize(
+    "spec, f, tol",
+    [
+        pytest.param("exp", oracles.f_exponential, "1e-13", id="exp"),
+        pytest.param("alpha:0.5", oracles.f_alpha(0.5), "1e-10",
+                     id="alpha:0.5"),
+        pytest.param("alpha:-0.5", oracles.f_alpha(-0.5), "1e-10",
+                     id="alpha:-0.5"),
+    ],
+)
+def test_conjugate_float_path(spec, f, tol):
+    conj = conjugate_coeffs(from_spec(spec), 20)
+    f_star = lambda u: u * f(1 / u)
+    coeffs = oracles.taylor_coeffs(f_star, 20)
     for i, c in enumerate(conj, start=2):
         assert isinstance(c, float)
-        assert oracles.rel_err(c, coeffs[i]) < mp.mpf("1e-13")
+        assert oracles.rel_err(c, coeffs[i]) < mp.mpf(tol), i
 
 
 def test_catalog_coeff_delegates_to_the_method():

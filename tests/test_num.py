@@ -11,7 +11,6 @@ from fchi._num import (
     is_exact,
     log_factorial,
     multinomial,
-    partitions,
     pascal_row,
     safe_exp,
 )
@@ -55,18 +54,6 @@ def test_pascal_row_exact():
         assert pascal_row(n) == [math.comb(n, j) for j in range(n + 1)]
     with pytest.raises(ValueError):
         pascal_row(-1)
-
-
-def test_partitions_counts():
-    # p(n) for n = 0..10
-    want = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-    for n, count in enumerate(want):
-        parts = list(partitions(n))
-        assert len(parts) == count
-        for part in parts:
-            assert sum(size * mult for size, mult in part.items()) == n
-    with pytest.raises(ValueError):
-        list(partitions(-2))
 
 
 def test_compositions_enumeration():

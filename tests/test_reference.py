@@ -134,6 +134,11 @@ class TestExactDiscrete:
         got = exact_f_divergence_discrete(kl(), p, q)
         assert isinstance(got, float) and got > 0
 
+    def test_alpha_overflowing_ratio_is_inf(self):
+        p = DiscreteDistribution([1e-300, 1 - 1e-300])
+        q = DiscreteDistribution([0.5, 0.5])
+        assert exact_f_divergence_discrete(alpha_generator(3), p, q) == math.inf
+
     def test_support_size_mismatch(self):
         with pytest.raises(InputError, match="support sizes differ"):
             exact_f_divergence_discrete(
