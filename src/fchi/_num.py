@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import OverflowSaturationError
+
 # exp() overflows float64 just above this argument
 MAX_EXP_ARG = math.log(sys.float_info.max)  # ~709.78
 
@@ -36,6 +38,29 @@ def quad(fn, lo, hi, **kw):
     from scipy import integrate
 
     return integrate.quad(fn, lo, hi, **kw)
+
+
+_RESCALE = 2.0 ** -600
+
+
+def saturating_fsum(terms: Sequence[float], what: str) -> float:
+    """math.fsum of floats whose total saturates instead of raising.
+
+    A total beyond float range comes back as a signed infinity: the terms
+    are rescaled by a power of two, which is exact, so the sign is never
+    guessed.  Terms holding both +inf and -inf cannot be resolved and
+    raise OverflowSaturationError.
+    """
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        # finite terms whose partial sums pass the float range
+        return math.fsum(t * _RESCALE for t in terms) / _RESCALE
+    except ValueError:
+        raise OverflowSaturationError(
+            f"{what} holds both +inf and -inf terms; the result cannot be "
+            f"represented"
+        ) from None
 
 
 def exact_or_fsum(terms: Sequence):

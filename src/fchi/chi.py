@@ -8,8 +8,9 @@ of (q - lam p)^i / p^(i-1).  Three evaluation routes live here:
 * a closed form for affine exponential families, a signed binomial
   combination of log-normalizer gaps, extended to mixtures through a
   multinomial expansion;
-* numeric integration/summation cross-checks for families with a
-  density, used by tests and by callers who want an independent route.
+* a numeric cross-check for families with a density: the power is
+  formed in log space and the family's own integrate sums or integrates
+  it, the same route quadrature_f_divergence takes.
 
 The closed form only ever queries the log-normalizer along the line
 through theta_p and theta_q.  When an interpolated or extrapolated
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -33,19 +34,10 @@ from ._num import (
     format_real,
     multinomial,
     pascal_row,
-    quad,
+    safe_exp,
 )
 from .errors import DivergenceError, InputError, OverflowSaturationError
-from .families import (
-    AefFamily,
-    Categorical,
-    DiscreteDistribution,
-    GaussianIso,
-    MixtureSpec,
-    PairSpec,
-    Poisson,
-    TruncatedExponential,
-)
+from .families import AefFamily, DiscreteDistribution, MixtureSpec, PairSpec
 
 __all__ = [
     "chi_pm_discrete",
@@ -192,24 +184,6 @@ def _signed_logsum(signs, logs, what: str):
     return math.copysign(math.exp(log_total), scaled)
 
 
-def _trunc_exp_condition(fam, i: int, tp, tq) -> str:
-    """Spell out the convergence condition behind a domain failure.
-
-    For the singly truncated exponential family the interpolate is linear
-    in j, so any excursion outside the domain implies the j = i endpoint
-    fails too; that endpoint is the classical condition i theta_q -
-    (i-1) theta_p > 0.  Other families have full-space domains and never
-    reach this helper.
-    """
-    if not (isinstance(fam, TruncatedExponential) and not fam.doubly):
-        return ""
-    t_p = float(np.asarray(tp).reshape(()))
-    t_q = float(np.asarray(tq).reshape(()))
-    margin = i * t_q - (i - 1) * t_p
-    return (f"; convergence requires {i}*theta_q - {i - 1}*theta_p > 0, "
-            f"got {margin:.6g}")
-
-
 def chi_pm_aef(i: int, lam: Number, fam: AefFamily, theta_p, theta_q) -> float:
     """Closed-form chi term for two members of one affine exponential family.
 
@@ -239,11 +213,14 @@ def chi_pm_aef(i: int, lam: Number, fam: AefFamily, theta_p, theta_q) -> float:
         sign = 1 if k == 0 else sign_base ** k
         theta_j = tq if j == 1 else tp + j * delta
         if not fam.in_domain(theta_j):
+            # theta_j is linear in j, so an excursion implies the j = i
+            # endpoint fails too: that is the condition the family names
+            cond = fam.convergence_condition(i, tp, tq)
             raise DivergenceError(
                 f"order-{i} chi term diverges for {fam.describe()}: the "
                 f"interpolated parameter at j={j} "
                 f"({np.asarray(theta_j).tolist()!r}) leaves the domain"
-                + _trunc_exp_condition(fam, i, tp, tq)
+                + (f"; {cond}" if cond else "")
             )
         e_j = fam.log_normalizer(theta_j) - ((1 - j) * f_p + j * f_q)
         signs.append(sign)
@@ -281,15 +258,12 @@ def chi_pm_mixture(i: int, lam: Number, fam: AefFamily, theta_p,
             if k:
                 theta_bar = theta_bar + k * t
         if not fam.in_domain(theta_bar):
-            hint = ""
-            if isinstance(fam, TruncatedExponential) and not fam.doubly:
-                hint = (f"; convergence requires {i}*theta_c - "
-                        f"{i - 1}*theta_p > 0 for every component c")
+            cond = fam.convergence_condition(i, tp)
             raise DivergenceError(
                 f"order-{i} mixture chi term diverges for {fam.describe()}: "
                 f"the combined parameter for composition {tuple(counts)!r} "
                 f"({np.asarray(theta_bar).tolist()!r}) leaves the domain"
-                + hint
+                + (f"; {cond}" if cond else "")
             )
         e = fam.log_normalizer(theta_bar) - a_p * f_p
         for k, fc in zip(kc, f_c):
@@ -304,15 +278,6 @@ def chi_pm_mixture(i: int, lam: Number, fam: AefFamily, theta_p,
 
 # ---------------------------------------------------------------------------
 # numeric cross-checks
-
-
-_QUAD_KW = {"limit": 300, "epsabs": 1e-12, "epsrel": 1e-11}
-
-
-def _poisson_cutoff(rate_p: float, rates_q, i: int) -> int:
-    # the tail is dominated by a series with this effective rate
-    eff = max(max(r ** i / rate_p ** (i - 1) for r in rates_q), rate_p, 1.0)
-    return int(eff + 40.0 * math.sqrt(eff) + 100.0)
 
 
 def _log_ratio_shift(log_r: float, lam: float):
@@ -332,132 +297,36 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
 
     This is the slow, closed-form-free route used to cross-check the
     analytic paths.  Exactly one of theta_q and mixture must be given.
-    Families without a density raise InputError.
+    The power (q/p - lam)^i is formed in log space and handed to the
+    family's own integrate; families without a density raise InputError.
     """
     _check_order(i)
     lam = _check_lam(lam)
     if (theta_q is None) == (mixture is None):
         raise InputError("give exactly one of theta_q and mixture")
-    if not fam.has_density:
-        raise InputError(f"{fam.describe()} exposes no density to integrate")
-    lam_f = float(lam)
     tp = fam.theta(theta_p)
-
-    def power(r):
-        base = abs(r - lam_f) if absolute else r - lam_f
-        return _pow(base, i)
-
-    if isinstance(fam, Categorical):
-        p = DiscreteDistribution([float(v) for v in fam.source_param(tp)])
-        if mixture is None:
-            q = DiscreteDistribution(
-                [float(v) for v in fam.source_param(fam.theta(theta_q))])
-        else:
-            acc = np.zeros(fam.d + 1)
-            for w, t in zip(mixture.weights, mixture.thetas):
-                acc += w * fam.source_param(fam.theta(t))
-            q = DiscreteDistribution([float(v) for v in acc])
-        fn = chi_abs_discrete if absolute else chi_pm_discrete
-        return fn(i, lam_f, p, q)
-
-    if isinstance(fam, Poisson):
-        rate_p = fam.source_param(tp)
-        if mixture is None:
-            pieces = [(1.0, fam.source_param(fam.theta(theta_q)))]
-        else:
-            pieces = [(w, fam.source_param(fam.theta(t)))
-                      for w, t in zip(mixture.weights, mixture.thetas)]
-        cutoff = _poisson_cutoff(rate_p, [r for _, r in pieces], i)
-        log_rp = math.log(rate_p)
-        signs, logs = [], []
-        for x in range(cutoff + 1):
-            lg = math.lgamma(x + 1)
-            log_px = x * log_rp - rate_p - lg
-            comp = [math.log(w) + x * math.log(r) - r - lg for w, r in pieces]
-            peak = max(comp)
-            log_qx = peak + math.log(
-                math.fsum(math.exp(c - peak) for c in comp))
-            sign, log_mag = _log_ratio_shift(log_qx - log_px, lam_f)
-            if sign == 0:
-                continue
-            signs.append(1 if (absolute or sign > 0 or i % 2 == 0) else -1)
-            logs.append(log_px + i * log_mag)
-        return _signed_logsum(signs, logs, f"order-{i} chi tail sum")
-
-    if isinstance(fam, GaussianIso):
-        if mixture is None:
-            tq = fam.theta(theta_q)
-            gap = float(np.linalg.norm(tq - tp))
-            if gap == 0.0:
-                return abs(1.0 - lam_f) ** i if absolute else (1.0 - lam_f) ** i
-            u = (tq - tp) / gap
-            mu = float(u @ tp)
-            shift = 0.5 * (float(tp @ tp) - float(tq @ tq))
-
-            def integrand(t):
-                r = math.exp(min(gap * t + shift, MAX_EXP_ARG))
-                return math.exp(-0.5 * (t - mu) ** 2) / math.sqrt(2 * math.pi) \
-                    * power(r)
-
-            lo = mu - i * gap - 50.0
-            hi = mu + i * gap + 50.0
-            pts = [mu, mu + i * gap]
-            val, _ = quad(integrand, lo, hi, points=pts, **_QUAD_KW)
-            return val
-        if fam.d != 1:
-            raise InputError(
-                "gaussian mixture quadrature cross-check supports d = 1 only"
+    q = fam.theta(theta_q) if mixture is None else mixture
+    # p (q_c/p)^i integrates only where the extrapolated parameter exists
+    for _, tc in fam.components(q):
+        if not fam.in_domain(i * tc - (i - 1) * tp):
+            what = "chi" if mixture is None else "mixture chi"
+            cond = fam.convergence_condition(
+                i, tp, tc if mixture is None else None)
+            raise DivergenceError(
+                f"order-{i} {what} integral diverges for {fam.describe()}"
+                + (f": {cond}" if cond else "")
             )
-        q_of, thetas = mixture.density_fn(fam)
-        centers = [float(t.reshape(())) for t in thetas + [tp]]
-        span = max(centers) - min(centers)
-        lo = min(centers) - (i + 1) * span - 50.0
-        hi = max(centers) + (i + 1) * span + 50.0
+    lam_f = float(lam)
 
-        def integrand(x):
-            px = fam.density(x, tp)
-            if px == 0.0:
-                return 0.0
-            return px * power(q_of(x) / px)
+    def term(log_p, log_r):
+        sign, log_mag = _log_ratio_shift(log_r, lam_f)
+        if sign == 0:
+            return 0.0
+        mag = safe_exp(log_p + i * log_mag)
+        return -mag if sign < 0 and i % 2 and not absolute else mag
 
-        val, _ = quad(integrand, lo, hi, points=sorted(centers), **_QUAD_KW)
-        return val
-
-    if isinstance(fam, TruncatedExponential):
-        t_p = float(tp.reshape(()))
-        if mixture is None:
-            tq = fam.theta(theta_q)
-            t_q = float(tq.reshape(()))
-            if not fam.doubly and i * t_q - (i - 1) * t_p <= 0.0:
-                # integrand tail ~ exp(-(i t_q - (i-1) t_p) x) stops decaying
-                raise DivergenceError(
-                    f"order-{i} chi integral diverges for {fam.describe()}: "
-                    f"convergence requires {i}*theta_q - {i - 1}*theta_p > 0, "
-                    f"got {i * t_q - (i - 1) * t_p:.6g}"
-                )
-            q_of = lambda x: fam.density(x, tq)
-        else:
-            q_of, thetas = mixture.density_fn(fam)
-            t_cs = [float(t.reshape(())) for t in thetas]
-            if not fam.doubly and any(
-                    i * tc - (i - 1) * t_p <= 0.0 for tc in t_cs):
-                raise DivergenceError(
-                    f"order-{i} mixture chi integral diverges for "
-                    f"{fam.describe()}: convergence requires {i}*theta_c - "
-                    f"{i - 1}*theta_p > 0 for every component c"
-                )
-
-        def integrand(x):
-            px = fam.density(x, tp)
-            if px == 0.0:
-                return 0.0
-            return px * power(q_of(x) / px)
-
-        hi = fam.b if fam.doubly else np.inf
-        val, _ = quad(integrand, fam.a, hi, **_QUAD_KW)
-        return val
-
-    raise InputError(f"no quadrature route for {fam.describe()}")
+    value, _err = fam.integrate(term, tp, q, reach=i)
+    return value
 
 
 def chi_pm_trunc_exp_closed(theta_p: Number, theta_q: Number, i: int = 3):

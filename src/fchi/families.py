@@ -3,9 +3,12 @@
 An affine exponential family (AEF) is parameterized so that densities are
 ``h(x) exp(theta . t(x) - F(theta))`` with t affine and theta ranging over
 an affine slice of R^d; what this package needs from a family is its
-log-normalizer F, the parameter domain, and (when available) a density
-for quadrature oracles.  Closed-form chi values only touch F, which is
-why the von Mises-Fisher family participates without any density.
+log-normalizer F, the parameter domain, and (when available) a density.
+Closed-form chi values only touch F, which is why the von Mises-Fisher
+family participates without any density.  Every family with a density
+carries the one numeric route both quadrature oracles use: `integrate`
+sums or integrates a term of (log p(x), log q(x)/p(x)) over its support,
+and owns the windows, cutoffs and atom budget that takes.
 
 Five families ship: gaussian_iso(d) (unit covariance, mean as natural
 parameter), poisson, categorical(d) (d+1 atoms, log-odds against atom 0),
@@ -26,6 +29,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._num import quad, safe_exp, saturating_fsum
 from .errors import DivergenceError, InputError
 
 __all__ = [
@@ -149,11 +153,29 @@ def ratio_bounds_discrete(p: DiscreteDistribution, q: DiscreteDistribution):
 # affine exponential families
 
 
+# integration targets absolute accuracy 1e-10; callers see the
+# integrator's own error estimate and can judge whether that was met
+_QUAD_KW = {"limit": 300, "epsabs": 1e-10, "epsrel": 1e-12}
+
+# half-width of integration windows around the relevant means, in units
+# of the unit standard deviation (12 sigma leaves tail mass ~ 1e-32)
+_SIGMA_SPAN = 12.0
+
+# most atoms a Poisson series may sum: the cutoff grows like
+# rate_q^reach / rate_p^(reach-1), so high orders on modest rates would
+# otherwise run for hours
+_POISSON_ATOM_BUDGET = 100_000
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
 class AefFamily:
     """Base for the exponential-family descriptors.
 
     Subclasses set `name`, `dim` and `has_density`, and implement
-    `log_normalizer`, `in_domain`, and the parameter maps.
+    `log_normalizer`, `in_domain`, and the parameter maps.  Families with
+    a density also implement `integrate`, the one numeric route both
+    quadrature oracles share.
     """
 
     name: str = ""
@@ -203,6 +225,54 @@ class AefFamily:
         """(m, M) bounds on the density ratio q/p; M = +inf means unbounded."""
         raise InputError(f"no density-ratio bounds available for {self.describe()}")
 
+    def convergence_condition(self, i: int, theta_p, theta_q=None) -> str:
+        """The condition an order-i chi term needs, or "" if none applies.
+
+        theta_q None means a mixture q, whose every component must meet it.
+        """
+        return ""
+
+    # -- integration --------------------------------------------------------
+
+    def integrate(self, term, theta_p: np.ndarray, q, reach: int = 1):
+        """(value, error_estimate) of the sum or integral of term over x.
+
+        term(log p(x), log(q(x)/p(x))) is summed or integrated over the
+        support, where q is a natural parameter or a MixtureSpec whose
+        density is sum_c w_c p(.; theta_c).  `reach` is the power the term
+        raises the ratio to: p (q/p)^reach peaks near theta_p + reach
+        (theta_c - theta_p), so windows and cutoffs widen with it.
+        """
+        raise InputError(f"{self.describe()} exposes no density to integrate")
+
+    def components(self, q) -> list:
+        """(weight, validated theta) for a natural parameter or a mixture."""
+        if isinstance(q, MixtureSpec):
+            return [(w, self.theta(t)) for w, t in zip(q.weights, q.thetas)]
+        return [(1.0, self.theta(q))]
+
+    def _log_ratio(self, theta_p, comps):
+        """stat -> log(q(x)/p(x)) for a one-dimensional sufficient statistic.
+
+        Component c contributes the line log w_c + (theta_c - theta_p) stat
+        - (F(theta_c) - F(theta_p)); a mixture combines the lines by
+        log-sum-exp, so no density is formed and none underflows.
+        """
+        t_p = float(theta_p[0])
+        f_p = self.log_normalizer(theta_p)
+        lines = [(float(t[0]) - t_p, math.log(w) - (self.log_normalizer(t) - f_p))
+                 for w, t in comps]
+        if len(lines) == 1:
+            (a, b), = lines
+            return lambda s: a * s + b
+
+        def log_ratio(s):
+            vals = [a * s + b for a, b in lines]
+            top = max(vals)
+            return top + math.log(math.fsum(math.exp(v - top) for v in vals))
+
+        return log_ratio
+
     def describe(self) -> str:
         return self.name
 
@@ -246,6 +316,35 @@ class GaussianIso(AefFamily):
             return 1.0, 1.0
         return 0.0, math.inf
 
+    def integrate(self, term, theta_p, q, reach=1):
+        if isinstance(q, MixtureSpec):
+            if self.d != 1:
+                raise InputError(
+                    "gaussian mixture quadrature supports d = 1 only"
+                )
+            comps = self.components(q)
+            log_ratio = self._log_ratio(theta_p, comps)
+            centre = float(theta_p[0])
+            centers = sorted([float(t[0]) for _, t in comps] + [centre])
+            widen = (reach - 1) * (centers[-1] - centers[0])
+            lo = centers[0] - _SIGMA_SPAN - widen
+            hi = centers[-1] + _SIGMA_SPAN + widen
+            points = centers
+        else:
+            # the ratio depends on x only through its projection s onto the
+            # mean gap, measured from theta_p, so one axis serves any d
+            gap = float(np.linalg.norm(q - theta_p))
+            shift = -0.5 * gap * gap
+            log_ratio = lambda s: gap * s + shift
+            centre = 0.0
+            lo, hi = -_SIGMA_SPAN, reach * gap + _SIGMA_SPAN
+            points = [0.0, reach * gap]
+
+        def integrand(x):
+            return term(-0.5 * (x - centre) ** 2 - _LOG_SQRT_2PI, log_ratio(x))
+
+        return quad(integrand, lo, hi, points=points, **_QUAD_KW)
+
     def describe(self):
         return f"gaussian_iso(d={self.d})"
 
@@ -286,6 +385,28 @@ class Poisson(AefFamily):
             # ratio e^(lp-lq) (lq/lp)^x decreases in x: max at x=0, inf at m
             return 0.0, math.exp(lp - lq)
         return math.exp(lp - lq), math.inf
+
+    def integrate(self, term, theta_p, q, reach=1):
+        """Series over x = 0..cutoff, refused past _POISSON_ATOM_BUDGET atoms."""
+        t_p = float(theta_p[0])
+        comps = self.components(q)
+        # the tail of p (q/p)^reach is a Poisson series with this rate
+        eff = safe_exp(max(
+            max(reach * float(t[0]) - (reach - 1) * t_p for _, t in comps),
+            t_p, 0.0,
+        ))
+        cutoff = eff + 40.0 * math.sqrt(eff) + 100.0
+        if cutoff > _POISSON_ATOM_BUDGET:
+            raise InputError(
+                f"poisson summation at power {reach} needs a cutoff of "
+                f"{cutoff:.4g} atoms, over the atom budget of "
+                f"{_POISSON_ATOM_BUDGET}; lower the order or the rates"
+            )
+        log_ratio = self._log_ratio(theta_p, comps)
+        rate_p = math.exp(t_p)
+        terms = [term(x * t_p - rate_p - math.lgamma(x + 1), log_ratio(x))
+                 for x in range(int(cutoff) + 1)]
+        return saturating_fsum(terms, "poisson series"), 0.0
 
 
 @dataclass(frozen=True)
@@ -342,6 +463,14 @@ class Categorical(AefFamily):
     def ratio_bounds(self, theta_p, theta_q):
         r = self.source_param(theta_q) / self.source_param(theta_p)
         return float(r.min()), float(r.max())
+
+    def integrate(self, term, theta_p, q, reach=1):
+        """A finite sum over the d + 1 atoms; a mixture q is formed linearly."""
+        probs_q = sum(w * self.source_param(t) for w, t in self.components(q))
+        terms = [term(math.log(ps), math.log(qs / ps))
+                 for ps, qs in zip(self.source_param(theta_p).tolist(),
+                                   probs_q.tolist())]
+        return saturating_fsum(terms, "categorical sum"), 0.0
 
     def describe(self):
         return f"categorical(d={self.d})"
@@ -452,10 +581,11 @@ class TruncatedExponential(AefFamily):
                     f"singly truncated exponential needs theta > 0, got {t!r}"
                 )
             return -self.a * t - math.log(t)
-        if t == 0.0:
-            return math.log(self.b - self.a)
         width = self.b - self.a
         s = width * t
+        if s == 0.0:
+            # theta = 0, or a theta so small that width * theta underflows
+            return math.log(width)
         # (e^(-a t) - e^(-b t))/t = width * e^(-a t) * (-expm1(-s))/s
         if s < -36.0:
             tail = -s - math.log(-s)
@@ -499,6 +629,28 @@ class TruncatedExponential(AefFamily):
         if tq > tp:
             return 0.0, at_a
         return at_a, math.inf
+
+    def convergence_condition(self, i, theta_p, theta_q=None):
+        # the integrand tail ~ exp(-(i theta_q - (i-1) theta_p) x) must decay
+        if self.doubly:
+            return ""
+        if theta_q is None:
+            return (f"convergence requires {i}*theta_c - {i - 1}*theta_p > 0 "
+                    f"for every component c")
+        margin = i * float(theta_q[0]) - (i - 1) * float(theta_p[0])
+        return (f"convergence requires {i}*theta_q - {i - 1}*theta_p > 0, "
+                f"got {margin:.6g}")
+
+    def integrate(self, term, theta_p, q, reach=1):
+        f_p = self.log_normalizer(theta_p)
+        t_p = float(theta_p[0])
+        # the sufficient statistic is -x
+        log_ratio = self._log_ratio(theta_p, self.components(q))
+
+        def integrand(x):
+            return term(-t_p * x - f_p, log_ratio(-x))
+
+        return quad(integrand, self.a, self.b, **_QUAD_KW)
 
     def describe(self):
         return f"trunc_exp(a={self.a}, b={self.b})"
@@ -573,21 +725,6 @@ class MixtureSpec:
         for t in self.thetas:
             fam.theta(t)
         return self
-
-    def density_fn(self, fam: AefFamily):
-        """(x -> sum_c w_c p(x; theta_c), the validated component thetas).
-
-        The thetas are validated once here, not at every point an
-        integrator visits.
-        """
-        thetas = [fam.theta(t) for t in self.thetas]
-
-        def q_of(x):
-            return math.fsum(
-                w * fam.density(x, t) for w, t in zip(self.weights, thetas)
-            )
-
-        return q_of, thetas
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Ground-truth divergence values, computed without any expansion.
 
 Three routes: exact summation for finite discrete pairs, a closed form
-for power-type generators on affine exponential families, and plain
-numeric integration against densities.  The expansion machinery is
-validated against these, never the other way around.
+for power-type generators on affine exponential families, and numeric
+integration, which each family carries as its own integrate method.  The
+expansion machinery is validated against these, never the other way
+around.
 
 Support conventions for the discrete route, applied uniformly to every
 generator: an atom where q has mass but p has none sends the divergence
@@ -20,17 +21,9 @@ from typing import Union
 
 import numpy as np
 
-from ._num import MAX_EXP_ARG, exact_or_fsum, quad
+from ._num import MAX_EXP_ARG, exact_or_fsum, safe_exp
 from .errors import InputError
-from .families import (
-    AefFamily,
-    Categorical,
-    DiscreteDistribution,
-    GaussianIso,
-    PairSpec,
-    Poisson,
-    TruncatedExponential,
-)
+from .families import AefFamily, DiscreteDistribution, PairSpec
 from .generators import Generator
 
 __all__ = [
@@ -106,110 +99,25 @@ def exact_alpha_aef(alpha: Number, fam: AefFamily, theta_p, theta_q) -> float:
     return -lead * math.expm1(gap)
 
 
-# integration targets absolute accuracy 1e-10; the caller sees the
-# integrator's own error estimate and can judge whether that was met
-_QUAD_KW = {"limit": 300, "epsabs": 1e-10, "epsrel": 1e-12}
-
-# half-width of integration windows around the relevant means, in units
-# of the unit standard deviation (12 sigma leaves tail mass ~ 1e-32)
-_SIGMA_SPAN = 12.0
-
-
 def quadrature_f_divergence(gen: Generator, pair: PairSpec):
     """(value, error_estimate) for a pair, by integration or summation.
 
     This is a cross-check instrument: it needs a density and convergent
     tails, and offers no certificates.  Discrete pairs delegate to the
-    exact route with a zero error estimate.
+    exact route with a zero error estimate; every other pair goes through
+    its family's integrate, which reports the integrator's estimate (zero
+    for the categorical and Poisson sums).
     """
     if pair.kind == "discrete":
         v = exact_f_divergence_discrete(gen, pair.p, pair.q)
         return float(v), 0.0
     fam = pair.fam
-    if not fam.has_density:
-        raise InputError(f"{fam.describe()} exposes no density to integrate")
-    mixture = pair.mixture if pair.kind == "mixture" else None
-    tp = fam.theta(pair.theta_p)
-    if mixture is None:
-        tq = fam.theta(pair.theta_q)
-        q_of, q_thetas = (lambda x: fam.density(x, tq)), [tq]
-    else:
-        q_of, q_thetas = mixture.density_fn(fam)
+    q = pair.mixture if pair.kind == "mixture" else fam.theta(pair.theta_q)
 
-    def term(px: float, qx: float) -> float:
-        if px == 0.0:
+    def term(log_p: float, log_r: float) -> float:
+        p = math.exp(log_p)
+        if p == 0.0:
             return 0.0
-        return px * gen.eval(qx / px)
+        return p * gen.eval(safe_exp(log_r))
 
-    if isinstance(fam, Categorical):
-        p = DiscreteDistribution([float(v) for v in fam.source_param(tp)])
-        if mixture is None:
-            acc = np.asarray(fam.source_param(q_thetas[0]))
-        else:
-            acc = np.zeros(fam.d + 1)
-            for w, t in zip(mixture.weights, q_thetas):
-                acc = acc + w * np.asarray(fam.source_param(t))
-        q = DiscreteDistribution([float(v) for v in acc])
-        return float(exact_f_divergence_discrete(gen, p, q)), 0.0
-
-    if isinstance(fam, Poisson):
-        rate_p = fam.source_param(tp)
-        rates = [fam.source_param(t) for t in q_thetas]
-        top = max(rates + [rate_p, 1.0])
-        cutoff = int(top + 40.0 * math.sqrt(top) + 100.0)
-        total = math.fsum(
-            term(fam.density(x, tp), q_of(x)) for x in range(cutoff + 1)
-        )
-        return total, 0.0
-
-    if isinstance(fam, GaussianIso):
-        if mixture is None:
-            tq = q_thetas[0]
-            gap = float(np.linalg.norm(tq - tp))
-            if gap == 0.0:
-                return float(gen.eval(1.0)), 0.0
-            # the density ratio depends on x only through its projection
-            # onto the mean gap, so one axis suffices in any dimension
-            u = (tq - tp) / gap
-            mu = float(u @ tp)
-            shift = 0.5 * (float(tp @ tp) - float(tq @ tq))
-
-            def integrand(t):
-                px = math.exp(-0.5 * (t - mu) ** 2) / math.sqrt(2 * math.pi)
-                if px == 0.0:
-                    return 0.0
-                arg = gap * t + shift
-                r = math.inf if arg > MAX_EXP_ARG else math.exp(arg)
-                return px * gen.eval(r)
-
-            lo = mu - _SIGMA_SPAN
-            hi = mu + gap + _SIGMA_SPAN
-            val, err = quad(integrand, lo, hi, points=[mu, mu + gap],
-                            **_QUAD_KW)
-            return val, err
-        if fam.d != 1:
-            raise InputError(
-                "gaussian mixture quadrature supports d = 1 only"
-            )
-        centers = [float(np.asarray(t, float).reshape(())) for t in q_thetas]
-        centers.append(float(tp.reshape(())))
-
-        def integrand(x):
-            return term(fam.density(x, tp), q_of(x))
-
-        val, err = quad(
-            integrand, min(centers) - _SIGMA_SPAN, max(centers) + _SIGMA_SPAN,
-            points=sorted(centers), **_QUAD_KW,
-        )
-        return val, err
-
-    if isinstance(fam, TruncatedExponential):
-
-        def integrand(x):
-            return term(fam.density(x, tp), q_of(x))
-
-        hi = fam.b if fam.doubly else np.inf
-        val, err = quad(integrand, fam.a, hi, **_QUAD_KW)
-        return val, err
-
-    raise InputError(f"no quadrature route for {fam.describe()}")
+    return fam.integrate(term, fam.theta(pair.theta_p), q)

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -370,8 +371,9 @@ class TestQuadratureRoute:
             assert summed == pytest.approx(closed, rel=1e-10)
 
     def test_backend_agreement_gaussian(self):
+        # from order 12 a linear-space power overflowed to inf * 0 = nan
         fam = gaussian_iso(1)
-        for i in (2, 3, 4):
+        for i in range(2, 17):
             closed = chi_pm_aef(i, 1, fam, 0.0, 1.0)
             quad = chi_pm_quadrature(i, 1, fam, 0.0, theta_q=1.0)
             assert quad == pytest.approx(closed, rel=1e-9)
@@ -395,6 +397,23 @@ class TestQuadratureRoute:
         mix = MixtureSpec([0.5, 0.5], ([1.0], [5.0]))
         with pytest.raises(DivergenceError):
             chi_pm_quadrature(3, 1, fam, 4.0, mixture=mix)
+
+    def test_poisson_atom_budget_refuses_up_front(self):
+        # these would sum 1.05e10 and 9.3e11 atoms
+        fam = poisson()
+        pair = PairSpec(kind="aef", fam=fam,
+                        theta_p=fam.natural_param(2.0),
+                        theta_q=fam.natural_param(3.5))
+        calls = (
+            lambda: chi_abs(40, 1, pair),
+            lambda: chi_pm_quadrature(64, 1, fam, math.log(5.0),
+                                      theta_q=math.log(7.5)),
+        )
+        for call in calls:
+            t0 = time.perf_counter()
+            with pytest.raises(InputError, match="budget of 100000"):
+                call()
+            assert time.perf_counter() - t0 < 1.0
 
     def test_absolute_variant(self):
         fam = gaussian_iso(1)
@@ -488,6 +507,14 @@ class TestPairDispatch:
         )
         assert provenance(pair) == "aef-closed-form"
         assert chi_abs(2, 1, pair) == pytest.approx(chi_pm(2, 1, pair), rel=1e-9)
+
+    def test_chi_abs_on_a_wide_gaussian_pair(self):
+        fam = gaussian_iso(1)
+        pair = PairSpec(kind="aef", fam=fam, theta_p=np.array([0.0]),
+                        theta_q=np.array([1.5]))
+        assert chi_pm(8, 1, pair) == 2.2937805079052495e27
+        assert chi_abs(8, 1, pair) == pytest.approx(2.2937805079052495e27,
+                                                    rel=1e-9)
 
     def test_mixture_pair(self):
         fam = gaussian_iso(1)

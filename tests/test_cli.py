@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -310,6 +311,18 @@ class TestExactCommand:
                            "--generator", "alpha:3", "--quadrature")
         assert code == 0
         assert out == "generator,value,method\nalpha:3,inf,quadrature\n"
+
+    def test_quadrature_over_the_atom_budget_exits_2(self, capsys):
+        spec = ('{"kind": "aef", "family": "poisson", '
+                f'"theta_p": [{math.log(1e9)!r}], '
+                f'"theta_q": [{math.log(1e9)!r}]}}')
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "exact", "--spec", spec,
+                             "--generator", "kl", "--quadrature")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
 
     def test_no_exact_route_suggests_quadrature(self, capsys):
         code, _, err = run(capsys, "exact", "--spec", GAUSS_SPEC,

@@ -13,7 +13,9 @@ from fchi._num import (
     multinomial,
     pascal_row,
     safe_exp,
+    saturating_fsum,
 )
+from fchi.errors import OverflowSaturationError
 
 
 def test_is_exact():
@@ -28,6 +30,18 @@ def test_safe_exp_saturates():
     assert safe_exp(1.0) == math.exp(1.0)
     assert safe_exp(MAX_EXP_ARG + 1) == math.inf
     assert safe_exp(-800.0) == 0.0
+
+
+def test_saturating_fsum_past_float_range():
+    big = 1e308
+    assert saturating_fsum([0.1, 0.2, 0.3], "t") == math.fsum([0.1, 0.2, 0.3])
+    # partial sums overflow but the total is representable
+    assert saturating_fsum([big, big, -big], "t") == big
+    assert saturating_fsum([big, big], "t") == math.inf
+    assert saturating_fsum([-big, -big, 1.0], "t") == -math.inf
+    assert saturating_fsum([math.inf, 1.0], "t") == math.inf
+    with pytest.raises(OverflowSaturationError):
+        saturating_fsum([math.inf, -math.inf], "t")
 
 
 def test_exact_or_fsum_keeps_rationals():

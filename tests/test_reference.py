@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as Fr
 
 import mpmath as mp
@@ -321,6 +322,15 @@ class TestQuadrature:
                         theta_p=np.array([0.0, 0.0]), mixture=mix)
         with pytest.raises(InputError, match="d = 1"):
             quadrature_f_divergence(kl(), pair)
+
+    def test_poisson_atom_budget_refuses_a_huge_rate(self):
+        fam = poisson()
+        pair = PairSpec(kind="aef", fam=fam, theta_p=fam.natural_param(1e9),
+                        theta_q=fam.natural_param(1e9))
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="cutoff of 1.001e\\+09 atoms"):
+            quadrature_f_divergence(kl(), pair)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_vmf_has_no_density_route(self):
         pair = PairSpec(kind="aef", fam=vmf(3),
