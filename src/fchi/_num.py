@@ -74,16 +74,6 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def pascal_row(n: int) -> list[int]:
-    """Row n of Pascal's triangle as exact integers: [C(n,0) .. C(n,n)]."""
-    if n < 0:
-        raise ValueError("pascal_row needs n >= 0")
-    row = [1]
-    for j in range(n):
-        row.append(row[-1] * (n - j) // (j + 1))
-    return row
-
-
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """All ordered tuples of `parts` nonnegative ints summing to `total`."""
     if parts <= 0:
@@ -103,10 +93,17 @@ def multinomial(counts: Sequence[int]) -> int:
     out = 1
     seen = 0
     for c in counts:
-        for j in range(1, c + 1):
-            seen += 1
-            out = out * seen // j
+        seen += c
+        out *= math.comb(seen, c)
     return out
+
+
+def format_number(x, rational: bool = False) -> str:
+    """num/den when rational is set and x is exact, else format_real."""
+    if rational and is_exact(x):
+        f = Fraction(x)
+        return f"{f.numerator}/{f.denominator}"
+    return format_real(x)
 
 
 def format_real(x) -> str:

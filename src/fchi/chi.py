@@ -3,20 +3,23 @@
 The order-i, anchor-lam chi term of a pair (p, q) is the sum or integral
 of (q - lam p)^i / p^(i-1).  Three evaluation routes live here:
 
-* exact summation for finite discrete pairs, staying in Fraction
-  arithmetic whenever the inputs are rational;
-* a closed form for affine exponential families, a signed binomial
-  combination of log-normalizer gaps, extended to mixtures through a
-  multinomial expansion;
+* exact summation for finite discrete pairs, one loop that stays in
+  Fraction arithmetic whenever the inputs are rational;
+* one closed form for affine exponential families: (q - lam p)^i expands
+  multinomially over the components of q into log-normalizer gaps, and a
+  single member q is the one-component case, the binomial sum;
 * a numeric cross-check for families with a density: the power is
   formed in log space and the family's own integrate sums or integrates
   it, the same route quadrature_f_divergence takes.
 
-The closed form only ever queries the log-normalizer along the line
-through theta_p and theta_q.  When an interpolated or extrapolated
-parameter leaves the family's domain the underlying integral diverges,
-and the functions here raise DivergenceError naming the offending index
-rather than returning garbage.
+Each composition's parameter is a convex combination of theta_p and the
+vertices theta_p + i (theta_c - theta_p).  Natural-parameter domains are
+convex, so one check of those vertices, shared by the closed form and the
+quadrature route, decides divergence before any term is evaluated: a
+vertex outside the domain raises DivergenceError naming j = i and the
+family's convergence condition rather than returning garbage.  An order
+whose composition count C(i + C, C) for C components passes a budget of
+10 000 is refused with InputError, also before any term.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import numpy as np
 from ._num import (
     MAX_EXP_ARG,
     compositions,
-    format_real,
+    exact_or_fsum,
+    format_number,
+    is_exact,
     multinomial,
-    pascal_row,
     safe_exp,
 )
 from .errors import DivergenceError, InputError, OverflowSaturationError
@@ -89,43 +93,21 @@ def _pow(base: float, n: int) -> float:
 def _discrete_terms(i, lam, p, q, absolute):
     if len(p) != len(q):
         raise InputError(f"support sizes differ: {len(p)} vs {len(q)}")
-    exact = (
-        p.is_exact and q.is_exact
-        and isinstance(lam, (int, Fraction)) and not isinstance(lam, bool)
-    )
-    if exact:
-        lam_x = Fraction(lam)
-        total = Fraction(0)
-        for ps, qs in zip(p.probs, q.probs):
-            ps = Fraction(ps)
-            qs = Fraction(qs)
-            if ps == 0:
-                if qs != 0:
-                    if i >= 2:
-                        return math.inf
-                    total += abs(qs) if absolute else qs
-                continue
-            base = qs - lam_x * ps
-            if absolute:
-                base = abs(base)
-            total += base ** i / ps ** (i - 1)
-        return total
-    lam_f = float(lam)
+    num = Fraction if p.is_exact and q.is_exact and is_exact(lam) else float
+    lam = num(lam)
     terms = []
     for ps, qs in zip(p.probs, q.probs):
-        ps = float(ps)
-        qs = float(qs)
-        if ps == 0.0:
-            if qs != 0.0:
+        ps = num(ps)
+        qs = num(qs)
+        if ps == 0:
+            if qs != 0:
                 if i >= 2:
                     return math.inf
                 terms.append(abs(qs) if absolute else qs)
             continue
-        base = qs / ps - lam_f
-        if absolute:
-            base = abs(base)
-        terms.append(ps * _pow(base, i))
-    return math.fsum(terms)
+        base = qs / ps - lam
+        terms.append(ps * _pow(abs(base) if absolute else base, i))
+    return exact_or_fsum(terms)
 
 
 def chi_pm_discrete(i: int, lam: Number, p: DiscreteDistribution,
@@ -184,6 +166,80 @@ def _signed_logsum(signs, logs, what: str):
     return math.copysign(math.exp(log_total), scaled)
 
 
+# most compositions one order may expand into: an order-i term of a
+# C-component mixture has C(i + C, C) of them, one log-normalizer call
+# each, so high orders on many components would otherwise run for seconds
+_COMPOSITION_BUDGET = 10_000
+
+
+def _convergent_components(i: int, fam: AefFamily, tp, q) -> list:
+    """fam.components(q), after the one divergence check of order i.
+
+    Each vertex theta_p + i (theta_c - theta_p) is formed as the closed
+    form forms it and must lie in the domain; the closed form and the
+    quadrature route share this check.
+    """
+    comps = fam.components(q)
+    for c, (_, tc) in enumerate(comps):
+        vertex = tc if i == 1 else tp + i * (tc - tp)
+        if not fam.in_domain(vertex):
+            mixture = isinstance(q, MixtureSpec)
+            cond = fam.convergence_condition(i, tp, None if mixture else tc)
+            raise DivergenceError(
+                f"order-{i} {'mixture ' if mixture else ''}chi term diverges "
+                f"for {fam.describe()}: the parameter at j={i}"
+                + (f" of component {c}" if mixture else "")
+                + f" ({np.asarray(vertex).tolist()!r}) leaves the domain"
+                + (f"; {cond}" if cond else "")
+            )
+    return comps
+
+
+def _chi_pm_closed(i: int, lam: Number, fam: AefFamily, theta_p, q):
+    """Chi term of p against q, a member or a MixtureSpec of fam.
+
+    Composition k_0 + sum_c k_c = i contributes exp(F(theta) - a_p
+    F(theta_p) - sum_c k_c F(theta_c)) with theta = theta_p + sum_c k_c
+    (theta_c - theta_p) and a_p = k_0 + 1 - i, weighted by its
+    multinomial, (-lam)^k_0 and prod_c w_c^k_c.
+    """
+    _check_order(i)
+    lam = _check_lam(lam)
+    tp = fam.theta(theta_p)
+    comps = _convergent_components(i, fam, tp, q)
+    if not isinstance(q, MixtureSpec) and np.array_equal(tp, comps[0][1]):
+        one = 1 - lam if isinstance(lam, (int, Fraction)) else 1.0 - lam
+        return one ** i
+    count = math.comb(i + len(comps), len(comps))
+    if count > _COMPOSITION_BUDGET:
+        raise InputError(
+            f"an order-{i} chi term of a {len(comps)}-component mixture "
+            f"expands into {count} compositions, over the composition budget "
+            f"of {_COMPOSITION_BUDGET}; lower the order or the components"
+        )
+    lam_f = float(lam)
+    sign_base = int(math.copysign(1.0, -lam_f))
+    log_abs_lam = math.log(abs(lam_f))
+    f_p = fam.log_normalizer(tp)
+    parts = [(tc, tc - tp, fam.log_normalizer(tc), math.log(w))
+             for w, tc in comps]
+    signs, logs = [], []
+    for counts in compositions(i, len(parts) + 1):
+        k0 = counts[0]
+        theta = tp
+        gap = (k0 + 1 - i) * f_p
+        log_w = math.log(multinomial(counts)) + k0 * log_abs_lam
+        for k, (tc, delta, f_c, log_w_c) in zip(counts[1:], parts):
+            if k:
+                # a single unit on c lands on theta_c itself
+                theta = tc if k0 == i - 1 else theta + k * delta
+                gap += k * f_c
+                log_w += k * log_w_c
+        signs.append(sign_base ** k0)
+        logs.append(log_w + (fam.log_normalizer(theta) - gap))
+    return _signed_logsum(signs, logs, f"order-{i} chi term")
+
+
 def chi_pm_aef(i: int, lam: Number, fam: AefFamily, theta_p, theta_q) -> float:
     """Closed-form chi term for two members of one affine exponential family.
 
@@ -193,39 +249,10 @@ def chi_pm_aef(i: int, lam: Number, fam: AefFamily, theta_p, theta_q) -> float:
     i must keep the interpolated parameter inside the family's domain;
     the j = i endpoint is precisely the usual convergence condition.
     """
-    _check_order(i)
-    lam = _check_lam(lam)
-    tp = fam.theta(theta_p)
-    tq = fam.theta(theta_q)
-    if np.array_equal(tp, tq):
-        one = 1 - lam if isinstance(lam, (int, Fraction)) else 1.0 - lam
-        return one ** i
-    lam_f = float(lam)
-    f_p = fam.log_normalizer(tp)
-    f_q = fam.log_normalizer(tq)
-    delta = tq - tp
-    row = pascal_row(i)
-    sign_base = int(math.copysign(1.0, -lam_f))
-    log_abs_lam = math.log(abs(lam_f))
-    signs, logs = [], []
-    for j in range(i + 1):
-        k = i - j
-        sign = 1 if k == 0 else sign_base ** k
-        theta_j = tq if j == 1 else tp + j * delta
-        if not fam.in_domain(theta_j):
-            # theta_j is linear in j, so an excursion implies the j = i
-            # endpoint fails too: that is the condition the family names
-            cond = fam.convergence_condition(i, tp, tq)
-            raise DivergenceError(
-                f"order-{i} chi term diverges for {fam.describe()}: the "
-                f"interpolated parameter at j={j} "
-                f"({np.asarray(theta_j).tolist()!r}) leaves the domain"
-                + (f"; {cond}" if cond else "")
-            )
-        e_j = fam.log_normalizer(theta_j) - ((1 - j) * f_p + j * f_q)
-        signs.append(sign)
-        logs.append(math.log(row[j]) + k * log_abs_lam + e_j)
-    return _signed_logsum(signs, logs, f"order-{i} chi term")
+    if isinstance(theta_q, MixtureSpec):
+        raise InputError("chi_pm_aef takes a natural parameter for q; "
+                         "use chi_pm_mixture for a mixture")
+    return _chi_pm_closed(i, lam, fam, theta_p, theta_q)
 
 
 def chi_pm_mixture(i: int, lam: Number, fam: AefFamily, theta_p,
@@ -235,45 +262,13 @@ def chi_pm_mixture(i: int, lam: Number, fam: AefFamily, theta_p,
     The i-th power of (sum_c w_c p_c - lam p) expands multinomially; each
     composition contributes one log-normalizer gap, evaluated at a
     signed-integer combination of the component parameters.  Domain
-    checks apply to every combination, as in chi_pm_aef.
+    checks apply to every combination, as in chi_pm_aef; orders past the
+    composition budget raise InputError.
     """
-    _check_order(i)
-    lam = _check_lam(lam)
-    tp = fam.theta(theta_p)
-    comps = [fam.theta(t) for t in mixture.thetas]
-    lam_f = float(lam)
-    f_p = fam.log_normalizer(tp)
-    f_c = [fam.log_normalizer(t) for t in comps]
-    log_w = [math.log(w) for w in mixture.weights]
-    sign_base = int(math.copysign(1.0, -lam_f))
-    log_abs_lam = math.log(abs(lam_f))
-    signs, logs = [], []
-    for counts in compositions(i, len(comps) + 1):
-        k0 = counts[0]
-        sign = 1 if k0 == 0 else sign_base ** k0
-        kc = counts[1:]
-        a_p = k0 + 1 - i
-        theta_bar = a_p * tp
-        for k, t in zip(kc, comps):
-            if k:
-                theta_bar = theta_bar + k * t
-        if not fam.in_domain(theta_bar):
-            cond = fam.convergence_condition(i, tp)
-            raise DivergenceError(
-                f"order-{i} mixture chi term diverges for {fam.describe()}: "
-                f"the combined parameter for composition {tuple(counts)!r} "
-                f"({np.asarray(theta_bar).tolist()!r}) leaves the domain"
-                + (f"; {cond}" if cond else "")
-            )
-        e = fam.log_normalizer(theta_bar) - a_p * f_p
-        for k, fc in zip(kc, f_c):
-            e -= k * fc
-        signs.append(sign)
-        logs.append(
-            math.log(multinomial(counts)) + k0 * log_abs_lam + e
-            + sum(k * lw for k, lw in zip(kc, log_w))
-        )
-    return _signed_logsum(signs, logs, f"order-{i} mixture chi term")
+    if not isinstance(mixture, MixtureSpec):
+        raise InputError(f"chi_pm_mixture needs a MixtureSpec, got "
+                         f"{type(mixture).__name__}")
+    return _chi_pm_closed(i, lam, fam, theta_p, mixture)
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +301,7 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
         raise InputError("give exactly one of theta_q and mixture")
     tp = fam.theta(theta_p)
     q = fam.theta(theta_q) if mixture is None else mixture
-    # p (q_c/p)^i integrates only where the extrapolated parameter exists
-    for _, tc in fam.components(q):
-        if not fam.in_domain(i * tc - (i - 1) * tp):
-            what = "chi" if mixture is None else "mixture chi"
-            cond = fam.convergence_condition(
-                i, tp, tc if mixture is None else None)
-            raise DivergenceError(
-                f"order-{i} {what} integral diverges for {fam.describe()}"
-                + (f": {cond}" if cond else "")
-            )
+    _convergent_components(i, fam, tp, q)
     lam_f = float(lam)
 
     def term(log_p, log_r):
@@ -377,24 +363,16 @@ def chi_pm(i: int, lam: Number, pair: PairSpec):
     """Chi term of a pair spec via its best available route."""
     if pair.kind == "discrete":
         return chi_pm_discrete(i, lam, pair.p, pair.q)
-    if pair.kind == "aef":
-        return chi_pm_aef(i, lam, pair.fam, pair.theta_p, pair.theta_q)
-    if pair.kind == "mixture":
-        return chi_pm_mixture(i, lam, pair.fam, pair.theta_p, pair.mixture)
-    raise InputError(f"unknown pair kind {pair.kind!r}")
+    return _chi_pm_closed(i, lam, pair.fam, pair.theta_p, pair.family_q)
 
 
 def chi_abs(i: int, lam: Number, pair: PairSpec):
     """Absolute chi term of a pair; continuous pairs go through quadrature."""
     if pair.kind == "discrete":
         return chi_abs_discrete(i, lam, pair.p, pair.q)
-    if pair.kind == "aef":
-        return chi_pm_quadrature(i, lam, pair.fam, pair.theta_p,
-                                 theta_q=pair.theta_q, absolute=True)
-    if pair.kind == "mixture":
-        return chi_pm_quadrature(i, lam, pair.fam, pair.theta_p,
-                                 mixture=pair.mixture, absolute=True)
-    raise InputError(f"unknown pair kind {pair.kind!r}")
+    return chi_pm_quadrature(i, lam, pair.fam, pair.theta_p,
+                             theta_q=pair.theta_q, mixture=pair.mixture,
+                             absolute=True)
 
 
 def provenance(pair: PairSpec) -> str:
@@ -462,11 +440,7 @@ class ChiBasis:
         """Write `order,chi_pm` rows; rational=True keeps Fractions exact."""
         fh.write("order,chi_pm\n")
         for i, v in zip(self.orders, self.values):
-            if rational and isinstance(v, (int, Fraction)):
-                v = Fraction(v)
-                fh.write(f"{i},{v.numerator}/{v.denominator}\n")
-            else:
-                fh.write(f"{i},{format_real(v)}\n")
+            fh.write(f"{i},{format_number(v, rational)}\n")
 
     @classmethod
     def from_csv(cls, fh, lam: Number = 1) -> "ChiBasis":

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from ._num import format_real, is_exact
+from ._num import format_number
 from .chi import ChiBasis, chi_pm, compute_basis, provenance
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .expansion import (
@@ -98,13 +98,6 @@ def _parse_real(text: str):
         raise InputError(f"cannot parse {text!r} as a number") from exc
 
 
-def _format(value, rational: bool) -> str:
-    if rational and is_exact(value):
-        f = Fraction(value)
-        return f"{f.numerator}/{f.denominator}"
-    return format_real(value)
-
-
 def _csv_field(text: str) -> str:
     """Quote a CSV field when it contains a delimiter or quote."""
     if "," in text or '"' in text or "\n" in text:
@@ -172,7 +165,7 @@ def _cmd_chi(args) -> int:
     with _Out(args.out) as fh:
         fh.write("order,chi_pm,provenance\n")
         for i, value in rows:
-            fh.write(f"{i},{_format(value, args.rational)},{label}\n")
+            fh.write(f"{i},{format_number(value, args.rational)},{label}\n")
     return 0
 
 
@@ -204,7 +197,7 @@ def _cmd_expand(args) -> int:
     if report.settled_at is not None:
         summary += f" settled_at={report.settled_at}"
     if report.value is not None:
-        summary += f" value={_format(report.value, args.rational)}"
+        summary += f" value={format_number(report.value, args.rational)}"
     if report.note:
         summary += f" note={report.note}"
     print(summary, file=sys.stderr)
@@ -231,9 +224,8 @@ def _cmd_exact(args) -> int:
         )
     with _Out(args.out) as fh:
         fh.write("generator,value,method\n")
-        fh.write(
-            f"{_csv_field(gen.name)},{_format(value, args.rational)},{method}\n"
-        )
+        fh.write(f"{_csv_field(gen.name)},"
+                 f"{format_number(value, args.rational)},{method}\n")
     return 0
 
 
@@ -258,7 +250,8 @@ def _cmd_batch(args) -> int:
         fh.write("generator,value\n")
         for name, rep in reports:
             value = float("nan") if rep.value is None else rep.value
-            fh.write(f"{_csv_field(name)},{_format(value, args.rational)}\n")
+            fh.write(f"{_csv_field(name)},"
+                     f"{format_number(value, args.rational)}\n")
     for name, rep in reports:
         line = f"{name}: verdict={rep.verdict}"
         if rep.settled_at is not None:

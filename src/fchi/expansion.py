@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from ._num import exact_or_fsum, format_real, is_exact, log_factorial, safe_exp
+from ._num import (exact_or_fsum, format_number, format_real, is_exact,
+                   log_factorial, safe_exp)
 from .chi import ChiBasis, compute_basis
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .families import PairSpec, ratio_bounds_discrete
@@ -79,24 +80,20 @@ def pair_ratio_bounds(pair: PairSpec) -> RatioBounds:
     """Best available density-ratio bounds for a pair spec.
 
     Mixtures combine component bounds linearly, which is valid though not
-    always tight.  Raises InputError when the pair's family offers no
-    bounds at all.
+    always tight; a single member is the one-component case.  Raises
+    InputError when the pair's family offers no bounds at all.
     """
     if pair.kind == "discrete":
         m, M = ratio_bounds_discrete(pair.p, pair.q)
         return RatioBounds(m, M)
-    if pair.kind == "aef":
-        m, M = pair.fam.ratio_bounds(pair.theta_p, pair.theta_q)
-        return RatioBounds(m, M)
-    if pair.kind == "mixture":
-        lo = 0.0
-        hi = 0.0
-        for w, t in zip(pair.mixture.weights, pair.mixture.thetas):
-            m_c, M_c = pair.fam.ratio_bounds(pair.theta_p, pair.fam.theta(t))
-            lo += w * m_c
-            hi += w * M_c
-        return RatioBounds(min(lo, 1.0), max(hi, 1.0))
-    raise InputError(f"unknown pair kind {pair.kind!r}")
+    q = pair.family_q  # refuses an unknown kind before pair.fam is used
+    lo = 0.0
+    hi = 0.0
+    for w, t in pair.fam.components(q):
+        m_c, M_c = pair.fam.ratio_bounds(pair.theta_p, t)
+        lo += w * m_c
+        hi += w * M_c
+    return RatioBounds(min(lo, 1.0), max(hi, 1.0))
 
 
 def _require_anchor_one(basis: ChiBasis) -> None:
@@ -207,13 +204,6 @@ class ExpansionReport:
         rendered as "unbounded"; abs_error appears when an exact value
         was supplied.  rational=True renders exact entries as num/den.
         """
-
-        def fmt(x):
-            if rational and is_exact(x):
-                f = Fraction(x)
-                return f"{f.numerator}/{f.denominator}"
-            return format_real(x)
-
         header = "k,term,partial_sum"
         if self.remainder_bounds is not None:
             header += ",remainder_bound"
@@ -221,13 +211,14 @@ class ExpansionReport:
             header += ",abs_error"
         fh.write(header + "\n")
         for idx, k in enumerate(self.orders):
-            row = [str(k), fmt(self.terms[idx]), fmt(self.partials[idx])]
+            row = [str(k), format_number(self.terms[idx], rational),
+                   format_number(self.partials[idx], rational)]
             if self.remainder_bounds is not None:
                 b = self.remainder_bounds[idx]
                 row.append("unbounded" if not math.isfinite(float(b))
                            else format_real(b))
             if self.abs_errors is not None:
-                row.append(fmt(self.abs_errors[idx]))
+                row.append(format_number(self.abs_errors[idx], rational))
             fh.write(",".join(row) + "\n")
 
 

@@ -89,13 +89,14 @@ class DiscreteDistribution:
         entries = tuple(_as_number(p) for p in probs)
         if len(entries) < 1:
             raise InputError("a discrete distribution needs at least one atom")
+        # written so that NaN fails each check
         for p in entries:
-            if p < 0:
-                raise InputError(f"negative probability {p!r}")
+            if not p >= 0:
+                raise InputError(f"negative or NaN probability {p!r}")
         total = sum(entries) if all(
             isinstance(p, (int, Fraction)) for p in entries
         ) else math.fsum(float(p) for p in entries)
-        if abs(float(total) - 1.0) > _SUM_TOL:
+        if not abs(float(total) - 1.0) <= _SUM_TOL:
             raise InputError(f"probabilities sum to {float(total)!r}, not 1")
         object.__setattr__(self, "probs", entries)
 
@@ -439,9 +440,10 @@ class Categorical(AefFamily):
             raise InputError(
                 f"categorical(d={self.d}) expects {self.d + 1} probabilities"
             )
-        if np.any(probs <= 0):
+        if not np.all(probs > 0):
+            # written so that NaN fails too
             raise InputError("categorical probabilities must all be positive")
-        if abs(float(probs.sum()) - 1.0) > _SUM_TOL:
+        if not abs(float(probs.sum()) - 1.0) <= _SUM_TOL:
             raise InputError(f"probabilities sum to {float(probs.sum())!r}, not 1")
         return np.log(probs[1:] / probs[0])
 
@@ -707,16 +709,23 @@ class MixtureSpec:
     thetas: tuple
 
     def __init__(self, weights: Sequence[float], thetas: Sequence):
-        w = tuple(float(x) for x in weights)
+        bad = f"mixture weights must be numbers, got {weights!r}"
+        if any(isinstance(x, bool) for x in weights):
+            raise InputError(bad)
+        try:
+            w = tuple(float(x) for x in weights)
+        except (TypeError, ValueError) as exc:
+            raise InputError(bad) from exc
         if len(w) != len(thetas):
             raise InputError(
                 f"{len(w)} weights against {len(thetas)} component parameters"
             )
         if len(w) == 0:
             raise InputError("a mixture needs at least one component")
-        if any(x <= 0 for x in w):
-            raise InputError("mixture weights must be positive")
-        if abs(math.fsum(w) - 1.0) > _SUM_TOL:
+        if not all(x > 0 for x in w):
+            # written so that NaN fails too
+            raise InputError(f"mixture weights must be positive, got {w!r}")
+        if not abs(math.fsum(w) - 1.0) <= _SUM_TOL:
             raise InputError(f"mixture weights sum to {math.fsum(w)!r}, not 1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "thetas", tuple(thetas))
@@ -743,6 +752,15 @@ class PairSpec:
     theta_p: Optional[np.ndarray] = None
     theta_q: Optional[np.ndarray] = None
     mixture: Optional[MixtureSpec] = None
+
+    @property
+    def family_q(self):
+        """q as AefFamily.components takes it: theta_q, or the MixtureSpec."""
+        if self.kind == "aef":
+            return self.theta_q
+        if self.kind == "mixture":
+            return self.mixture
+        raise InputError(f"a {self.kind!r} pair has no exponential-family q")
 
     def describe(self) -> str:
         if self.kind == "discrete":

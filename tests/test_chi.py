@@ -335,6 +335,18 @@ class TestMixture:
             chi_pm_mixture(3, 1, fam, [4.0], mix)
         assert "every component" in str(err.value)
 
+    def test_composition_budget_refuses_up_front(self):
+        # orders 2-20 of five components hold 230 223 compositions
+        fam = gaussian_iso(1)
+        pair = PairSpec(kind="mixture", fam=fam, theta_p=fam.theta([0.0]),
+                        mixture=MixtureSpec([0.2] * 5, ([-0.4], [-0.2], [0.1],
+                                                        [0.3], [0.5])))
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="11628 compositions, over the "
+                                             "composition budget of 10000"):
+            compute_basis(pair, 20)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_lam_shift(self):
         fam = gaussian_iso(1)
         mix = MixtureSpec([0.4, 0.6], ([0.0], [1.0]))

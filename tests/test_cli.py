@@ -141,6 +141,36 @@ class TestChiCommand:
         assert out == ""
         assert "b=nan" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["chi", "--orders", "2..3"],
+        ["exact", "--generator", "kl", "--quadrature"],
+        ["batch", "--generators", "kl,js"],
+    ])
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "discrete", "p": [NaN, 1.0], "q": [0.5, 0.5]}',
+        ('{"kind": "mixture", "family": "gaussian_iso", "theta_p": [0.0], '
+         '"weights": [NaN, 1.0], "thetas": [[0.0], [1.0]]}'),
+        ('{"kind": "mixture", "family": "gaussian_iso", "theta_p": [0.0], '
+         '"weights": [true], "thetas": [[1.0]]}'),
+    ])
+    def test_nan_or_bool_probabilities_rejected(self, capsys, argv, spec):
+        code, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "fchi: error:" in err
+
+    def test_over_the_composition_budget_exits_2(self, capsys):
+        spec = ('{"kind": "mixture", "family": "gaussian_iso", "theta_p": '
+                '[0.0], "weights": [0.2, 0.2, 0.2, 0.2, 0.2], "thetas": '
+                '[[-0.4], [-0.2], [0.1], [0.3], [0.5]]}')
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "batch", "--spec", spec,
+                             "--generators", "kl", "-k", "20")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert "composition budget" in err
+
     def test_malformed_spec_rejected(self, capsys):
         code, _, err = run(capsys, "chi", "--spec", '{"kind": "discrete"}',
                            "--orders", "2")

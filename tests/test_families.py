@@ -56,6 +56,8 @@ class TestDiscreteDistribution:
             ["1/0", "1"],
             ["what", "ever"],
             [True, False],
+            [math.nan, 1.0],
+            [0.5, math.nan, 0.5],
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -216,6 +218,8 @@ class TestCategorical:
         with pytest.raises(InputError):
             fam.natural_param([0.5, 0.4, 0.2])
         with pytest.raises(InputError):
+            fam.natural_param([math.nan, 0.5, 0.5])
+        with pytest.raises(InputError):
             categorical(0)
 
 
@@ -353,6 +357,9 @@ class TestMixtureSpec:
             ([0.5, 0.5], ([0.0],)),
             ([0.0, 1.0], ([0.0], [1.0])),
             ([0.6, 0.6], ([0.0], [1.0])),
+            ([math.nan, 1.0], ([0.0], [1.0])),
+            ([True], ([0.0],)),
+            (["heavy"], ([0.0],)),
         ],
     )
     def test_invalid(self, weights, thetas):

@@ -7,11 +7,11 @@ from fchi._num import (
     MAX_EXP_ARG,
     compositions,
     exact_or_fsum,
+    format_number,
     format_real,
     is_exact,
     log_factorial,
     multinomial,
-    pascal_row,
     safe_exp,
     saturating_fsum,
 )
@@ -63,13 +63,6 @@ def test_log_factorial_matches_lgamma():
     assert math.exp(log_factorial(10)) == pytest.approx(3628800, rel=1e-12)
 
 
-def test_pascal_row_exact():
-    for n in range(0, 40):
-        assert pascal_row(n) == [math.comb(n, j) for j in range(n + 1)]
-    with pytest.raises(ValueError):
-        pascal_row(-1)
-
-
 def test_compositions_enumeration():
     combos = list(compositions(3, 2))
     assert combos == [(0, 3), (1, 2), (2, 1), (3, 0)]
@@ -83,6 +76,7 @@ def test_multinomial():
     assert multinomial([7]) == 1
     assert multinomial([2, 1]) == 3
     assert multinomial([3, 3, 3]) == math.factorial(9) // math.factorial(3) ** 3
+    assert multinomial([5, 0, 2, 1]) == math.factorial(8) // (120 * 2)
 
 
 def test_format_real_round_trips():
@@ -92,3 +86,11 @@ def test_format_real_round_trips():
     assert format_real(-math.inf) == "-inf"
     assert format_real(math.nan) == "nan"
     assert format_real(Fraction(1, 2)) == "0.5"
+
+
+def test_format_number_renders_exact_values_as_fractions():
+    assert format_number(Fraction(3, 8), rational=True) == "3/8"
+    assert format_number(2, rational=True) == "2/1"
+    assert format_number(Fraction(3, 8)) == "0.375"
+    assert format_number(0.375, rational=True) == "0.375"
+    assert format_number(math.inf, rational=True) == "inf"

@@ -3,11 +3,12 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fchi.chi import chi_pm_aef, chi_pm_mixture, chi_pm_quadrature
-from fchi.errors import DivergenceError
+from fchi.errors import DivergenceError, OverflowSaturationError
 from fchi.families import (
     MixtureSpec,
     TruncatedExponential,
@@ -15,6 +16,7 @@ from fchi.families import (
     gaussian_iso,
     poisson,
     trunc_exp,
+    vmf,
 )
 from fchi.generators import (
     conjugate_coeffs,
@@ -158,3 +160,71 @@ def test_mixture_closed_form_matches_quadrature(pair, i, lam):
         _route(lambda: chi_pm_mixture(i, lam, fam, tp, mix)),
         _route(lambda: chi_pm_quadrature(i, lam, fam, tp, mixture=mix)),
     )
+
+
+@st.composite
+def closed_form_pairs(draw):
+    """aef_pairs plus vmf, which has a log-normalizer and no density."""
+    if draw(st.integers(0, 5)):
+        return draw(aef_pairs())
+    return vmf(3), draw(_vector(3, -1.0, 1.0)), draw(_vector(3, -1.5, 1.5))
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except (DivergenceError, OverflowSaturationError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150)
+@given(closed_form_pairs(), st.integers(min_value=2, max_value=64),
+       st.sampled_from([1, Fraction(1, 2), 2, -1, 0.7]))
+def test_one_component_mixture_is_the_aef_pair(pair, i, lam):
+    fam, tp, tq = pair
+    # identical parameters take chi_pm_aef's exact (1 - lam)^i shortcut
+    assume(tp != tq)
+    assert _outcome(lambda: chi_pm_mixture(
+        i, lam, fam, tp, MixtureSpec([1.0], (tq,)))) == _outcome(
+        lambda: chi_pm_aef(i, lam, fam, tp, tq))
+
+
+@st.composite
+def singly_truncated_near_the_boundary(draw):
+    """(i, family, theta_p, q) with q a member or a 1-3 component mixture.
+
+    Components sit within a few ulps of the order-i convergence boundary
+    i theta_c = (i - 1) theta_p, or anywhere in a wider band around it.
+    """
+    i = draw(st.integers(min_value=2, max_value=12))
+    tp = draw(st.floats(min_value=0.5, max_value=3.0))
+
+    def component():
+        edge = tp * (i - 1) / i
+        if draw(st.booleans()):
+            return [edge + draw(st.integers(-4, 4)) * math.ulp(edge)]
+        return [edge * draw(st.floats(min_value=0.9, max_value=1.1))]
+
+    if draw(st.booleans()):
+        return i, trunc_exp(draw(st.floats(0.0, 1.0))), [tp], component()
+    n = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=n,
+                        max_size=n))
+    weights = [w / math.fsum(raw) for w in raw]
+    return i, trunc_exp(0.0), [tp], MixtureSpec(
+        weights, [component() for _ in range(n)])
+
+
+# near the boundary quad warns and may miss mass; only refusals compare here
+@pytest.mark.filterwarnings("ignore:The integral is probably divergent")
+@settings(max_examples=80)
+@given(singly_truncated_near_the_boundary())
+def test_closed_form_and_quadrature_refuse_the_same_pairs(case):
+    i, fam, tp, q = case
+    if isinstance(q, MixtureSpec):
+        closed = _route(lambda: chi_pm_mixture(i, 1, fam, tp, q))
+        summed = _route(lambda: chi_pm_quadrature(i, 1, fam, tp, mixture=q))
+    else:
+        closed = _route(lambda: chi_pm_aef(i, 1, fam, tp, q))
+        summed = _route(lambda: chi_pm_quadrature(i, 1, fam, tp, theta_q=q))
+    assert (closed is DivergenceError) == (summed is DivergenceError)
