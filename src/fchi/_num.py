@@ -21,7 +21,12 @@ MAX_EXP_ARG = math.log(sys.float_info.max)  # ~709.78
 
 def is_exact(x) -> bool:
     """True when x participates in rational arithmetic without rounding."""
-    return isinstance(x, (int, Fraction))
+    kind = type(x)
+    if kind is float:
+        # Fraction's ABC isinstance check is slow on a miss; floats are
+        # the common miss in term loops
+        return False
+    return kind is int or kind is Fraction or isinstance(x, (int, Fraction))
 
 
 def safe_exp(x: float) -> float:

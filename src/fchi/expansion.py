@@ -107,15 +107,20 @@ def _require_anchor_one(basis: ChiBasis) -> None:
 def expansion_terms(gen: Generator, basis: ChiBasis) -> list:
     """Per-order contributions coeff(i) * chi_i for the basis orders."""
     _require_anchor_one(basis)
+    # basis orders are integers >= 2, so the coefficient stream is read
+    # without Generator.coeff's per-call argument check
+    coeff = gen.coeff_fn
     out = []
     for i, v in zip(basis.orders, basis.values):
-        c = gen.coeff(i)
+        c = coeff(i)
         if c == 0:
             # a vanishing coefficient kills the term even against an
             # infinite chi value
             out.append(0 if is_exact(v) else 0.0)
         elif is_exact(c) and is_exact(v):
-            out.append(Fraction(c) * Fraction(v))
+            # int * int is the one product that would not be a Fraction
+            out.append(c * v if Fraction in (type(c), type(v))
+                       else Fraction(c) * v)
         else:
             out.append(float(c) * float(v))
     return out
@@ -152,26 +157,46 @@ def remainder_bound(gen: Generator, k: int, bounds: RatioBounds,
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InputError(f"truncation order must be an integer >= 1, got {k!r}")
-    m = float(bounds.m)
-    big = float(bounds.M)
-    sup = gen.deriv_sup(k, m, big if big < math.inf else math.inf)
+    if chi_abs_k1 is None:
+        return _remainder_bounds(gen, (k,), bounds)[0]
+    sup = gen.deriv_sup(k, float(bounds.m), float(bounds.M))
     if sup == 0.0:
         return 0.0
-    if chi_abs_k1 is not None:
-        env = float(chi_abs_k1)
-        if env == 0.0:
-            return 0.0
-        if env == math.inf or sup == math.inf:
-            return math.inf
-        return safe_exp(math.log(sup) - log_factorial(k + 1) + math.log(env))
-    width = big - m
-    if width == 0.0:
+    env = float(chi_abs_k1)
+    if env == 0.0:
         return 0.0
-    if width == math.inf or sup == math.inf:
+    if env == math.inf or sup == math.inf:
         return math.inf
-    return safe_exp(
-        math.log(sup) - log_factorial(k + 1) + (k + 1) * math.log(width)
-    )
+    return safe_exp(math.log(sup) - log_factorial(k + 1) + math.log(env))
+
+
+def _remainder_bounds(gen: Generator, orders: Sequence[int],
+                      bounds: RatioBounds) -> tuple:
+    """remainder_bound with the (M - m)^(k+1) envelope at each order.
+
+    The orders must be integers >= 1.  [m, M] is checked once and the
+    envelope's log taken once, so a whole report's caps cost one
+    derivative sup each.
+    """
+    m = float(bounds.m)
+    big = float(bounds.M)
+    if not (0 <= m <= 1 <= big):
+        raise ValueError(f"need 0 <= m <= 1 <= M, got m={m!r}, M={big!r}")
+    sup_fn = gen.deriv_sup_fn
+    width = big - m
+    log_width = math.log(width) if 0.0 < width < math.inf else None
+    caps = []
+    for k in orders:
+        sup = sup_fn(k, m, big)
+        if sup == 0.0 or width == 0.0:
+            caps.append(0.0)
+        elif log_width is None or sup == math.inf:
+            caps.append(math.inf)
+        else:
+            caps.append(safe_exp(
+                math.log(sup) - log_factorial(k + 1) + (k + 1) * log_width
+            ))
+    return tuple(caps)
 
 
 @dataclass(frozen=True)
@@ -275,7 +300,7 @@ def converge(gen: Generator, source, max_order: int = 20, *,
     if acc_exact:
         acc = Fraction(gen.f_at_one)
         for t in terms:
-            acc += Fraction(t)
+            acc += t
             partials.append(acc)
     else:
         run = float(gen.f_at_one)
@@ -320,7 +345,7 @@ def converge(gen: Generator, source, max_order: int = 20, *,
 
     rbounds = None
     if bounds is not None:
-        rbounds = tuple(remainder_bound(gen, k, bounds) for k in orders)
+        rbounds = _remainder_bounds(gen, orders, bounds)
     errors = None
     if exact_value is not None:
         if is_exact(exact_value) and acc_exact:
