@@ -1,13 +1,14 @@
 """Power chi terms: the building blocks every expansion is assembled from.
 
 The order-i, anchor-lam chi term of a pair (p, q) is the sum or integral
-of (q - lam p)^i / p^(i-1).  Three evaluation routes live here:
+of (q - lam p)^i / p^(i-1).  Three evaluation routes live here; the
+first two form their per-pair state once and serve any number of orders:
 
-* exact summation for finite discrete pairs, one loop that stays in
-  Fraction arithmetic whenever the inputs are rational;
-* one closed form for affine exponential families: (q - lam p)^i expands
-  multinomially over the components of q into log-normalizer gaps, and a
-  single member q is the one-component case, the binomial sum;
+* exact summation for finite discrete pairs over each atom's q_s/p_s -
+  lam, in Fraction arithmetic whenever the inputs are rational;
+* one closed form for affine exponential families: order i is the
+  binomial transform of the moments M_j = E_p[(q/p)^j], log-normalizer
+  gaps summed over the compositions of j into the components of q;
 * a numeric cross-check for families with a density: the power is
   formed in log space and the family's own integrate sums or integrates
   it, the same route quadrature_f_divergence takes.
@@ -24,6 +25,7 @@ whose composition count C(i + C, C) for C components passes a budget of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,24 +92,31 @@ def _pow(base: float, n: int) -> float:
 # discrete
 
 
-def _discrete_terms(i, lam, p, q, absolute):
+def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
+                     q: DiscreteDistribution, absolute: bool = False) -> list:
+    """Terms sum_s p_s b_s^i at increasing orders i, b_s = q_s/p_s - lam.
+
+    Each b_s (|b_s| when absolute) is formed once; see chi_pm_discrete.
+    """
+    orders = [_check_order(i) for i in orders]
+    _check_lam(lam)
     if len(p) != len(q):
         raise InputError(f"support sizes differ: {len(p)} vs {len(q)}")
     num = Fraction if p.is_exact and q.is_exact and is_exact(lam) else float
     lam = num(lam)
-    terms = []
-    for ps, qs in zip(p.probs, q.probs):
-        ps = num(ps)
-        qs = num(qs)
-        if ps == 0:
-            if qs != 0:
-                if i >= 2:
-                    return math.inf
-                terms.append(abs(qs) if absolute else qs)
+    pairs = [(num(ps), num(qs)) for ps, qs in zip(p.probs, q.probs)]
+    stray = [qs for ps, qs in pairs if ps == 0 and qs != 0]
+    atoms = [(ps, qs / ps - lam) for ps, qs in pairs if ps != 0]
+    if absolute:
+        atoms = [(ps, abs(base)) for ps, base in atoms]
+    values = []
+    for i in orders:
+        if stray and i >= 2:
+            values.append(math.inf)
             continue
-        base = qs / ps - lam
-        terms.append(ps * _pow(abs(base) if absolute else base, i))
-    return exact_or_fsum(terms)
+        terms = [ps * _pow(base, i) for ps, base in atoms]
+        values.append(exact_or_fsum(terms + stray if i == 1 else terms))
+    return values
 
 
 def chi_pm_discrete(i: int, lam: Number, p: DiscreteDistribution,
@@ -118,17 +127,13 @@ def chi_pm_discrete(i: int, lam: Number, p: DiscreteDistribution,
     p_s = 0 < q_s makes every order i >= 2 diverge to +inf; at i = 1 it
     contributes q_s and the total telescopes to 1 - lam.
     """
-    _check_order(i)
-    _check_lam(lam)
-    return _discrete_terms(i, lam, p, q, absolute=False)
+    return _discrete_values((i,), lam, p, q)[0]
 
 
 def chi_abs_discrete(i: int, lam: Number, p: DiscreteDistribution,
                      q: DiscreteDistribution):
     """Absolute-value variant: sum of |q_s - lam p_s|^i / p_s^(i-1)."""
-    _check_order(i)
-    _check_lam(lam)
-    return _discrete_terms(i, lam, p, q, absolute=True)
+    return _discrete_values((i,), lam, p, q, absolute=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +143,8 @@ def chi_abs_discrete(i: int, lam: Number, p: DiscreteDistribution,
 _CANCEL_FLOOR = 1e-12
 
 
-def _signed_logsum(signs, logs, what: str):
-    """Sum terms sign_t * e^(log_t), tolerating magnitudes beyond floats.
+def _signed_logsum(factors, logs, what: str):
+    """Sum terms factor_t * e^(log_t), tolerating magnitudes beyond floats.
 
     While every term fits in float range this is a plain fsum of exps.
     Otherwise the sum is rescaled by the peak magnitude; a result whose
@@ -148,7 +153,7 @@ def _signed_logsum(signs, logs, what: str):
     cannot represent, which raises OverflowSaturationError rather than
     guessing a sign.
     """
-    pairs = [(s, l) for s, l in zip(signs, logs) if s != 0 and l != -math.inf]
+    pairs = [(s, l) for s, l in zip(factors, logs) if s != 0 and l != -math.inf]
     if not pairs:
         return 0.0
     top = max(l for _, l in pairs)
@@ -172,18 +177,16 @@ def _signed_logsum(signs, logs, what: str):
 _COMPOSITION_BUDGET = 10_000
 
 
-def _convergent_components(i: int, fam: AefFamily, tp, q) -> list:
-    """fam.components(q), after the one divergence check of order i.
+def _check_vertices(i: int, fam: AefFamily, tp, comps, mixture: bool) -> None:
+    """The one divergence check of order i against q's components.
 
     Each vertex theta_p + i (theta_c - theta_p) is formed as the closed
     form forms it and must lie in the domain; the closed form and the
     quadrature route share this check.
     """
-    comps = fam.components(q)
     for c, (_, tc) in enumerate(comps):
         vertex = tc if i == 1 else tp + i * (tc - tp)
         if not fam.in_domain(vertex):
-            mixture = isinstance(q, MixtureSpec)
             cond = fam.convergence_condition(i, tp, None if mixture else tc)
             raise DivergenceError(
                 f"order-{i} {'mixture ' if mixture else ''}chi term diverges "
@@ -192,52 +195,71 @@ def _convergent_components(i: int, fam: AefFamily, tp, q) -> list:
                 + f" ({np.asarray(vertex).tolist()!r}) leaves the domain"
                 + (f"; {cond}" if cond else "")
             )
-    return comps
 
 
-def _chi_pm_closed(i: int, lam: Number, fam: AefFamily, theta_p, q):
-    """Chi term of p against q, a member or a MixtureSpec of fam.
+def _moments(fam: AefFamily, tp, comps):
+    """Yield M_j = E_p[(q/p)^j] for j = 0, 1, ... as (top, s), M_j = s e^top.
 
-    Composition k_0 + sum_c k_c = i contributes exp(F(theta) - a_p
-    F(theta_p) - sum_c k_c F(theta_c)) with theta = theta_p + sum_c k_c
-    (theta_c - theta_p) and a_p = k_0 + 1 - i, weighted by its
-    multinomial, (-lam)^k_0 and prod_c w_c^k_c.
+    Composition k of j contributes multinomial(k) prod_c w_c^k_c e^E with
+    E = F(theta) - (1 - j) F(theta_p) - sum_c k_c F(theta_c) at theta =
+    theta_p + sum_c k_c (theta_c - theta_p); M_0 and M_1 need no F.
     """
-    _check_order(i)
+    f_p = fam.log_normalizer(tp)
+    parts = [(tc - tp, fam.log_normalizer(tc), math.log(w))
+             for w, tc in comps]
+    yield 0.0, 1.0
+    yield 0.0, math.fsum(w for w, _ in comps)
+    for j in itertools.count(2):
+        logs = []
+        for counts in compositions(j, len(parts)):
+            theta = tp
+            gap = (1 - j) * f_p
+            log_w = math.log(multinomial(counts))
+            for k, (delta, f_c, log_w_c) in zip(counts, parts):
+                if k:
+                    theta = theta + k * delta
+                    gap += k * f_c
+                    log_w += k * log_w_c
+            logs.append(log_w + (fam.log_normalizer(theta) - gap))
+        top = max(logs)
+        yield top, math.fsum(math.exp(l - top) for l in logs)
+
+
+def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
+    """Chi terms of p against q, a member or a MixtureSpec of fam.
+
+    Per order: the vertex check, the exact (1 - lam)^i when p = q, the
+    composition budget, then moments up to i, each formed once.
+    """
+    orders = [_check_order(i) for i in orders]
     lam = _check_lam(lam)
     tp = fam.theta(theta_p)
-    comps = _convergent_components(i, fam, tp, q)
-    if not isinstance(q, MixtureSpec) and np.array_equal(tp, comps[0][1]):
-        one = 1 - lam if isinstance(lam, (int, Fraction)) else 1.0 - lam
-        return one ** i
-    count = math.comb(i + len(comps), len(comps))
-    if count > _COMPOSITION_BUDGET:
-        raise InputError(
-            f"an order-{i} chi term of a {len(comps)}-component mixture "
-            f"expands into {count} compositions, over the composition budget "
-            f"of {_COMPOSITION_BUDGET}; lower the order or the components"
-        )
-    lam_f = float(lam)
-    sign_base = int(math.copysign(1.0, -lam_f))
-    log_abs_lam = math.log(abs(lam_f))
-    f_p = fam.log_normalizer(tp)
-    parts = [(tc, tc - tp, fam.log_normalizer(tc), math.log(w))
-             for w, tc in comps]
-    signs, logs = [], []
-    for counts in compositions(i, len(parts) + 1):
-        k0 = counts[0]
-        theta = tp
-        gap = (k0 + 1 - i) * f_p
-        log_w = math.log(multinomial(counts)) + k0 * log_abs_lam
-        for k, (tc, delta, f_c, log_w_c) in zip(counts[1:], parts):
-            if k:
-                # a single unit on c lands on theta_c itself
-                theta = tc if k0 == i - 1 else theta + k * delta
-                gap += k * f_c
-                log_w += k * log_w_c
-        signs.append(sign_base ** k0)
-        logs.append(log_w + (fam.log_normalizer(theta) - gap))
-    return _signed_logsum(signs, logs, f"order-{i} chi term")
+    comps = fam.components(q)
+    mixture = isinstance(q, MixtureSpec)
+    sign = -1 if lam > 0 else 1
+    log_abs_lam = math.log(abs(float(lam)))
+    stream = _moments(fam, tp, comps)
+    moments, values = [], []
+    for i in orders:
+        _check_vertices(i, fam, tp, comps, mixture)
+        if not mixture and np.array_equal(tp, comps[0][1]):
+            values.append((1 - lam) ** i)
+            continue
+        count = math.comb(i + len(comps), len(comps))
+        if count > _COMPOSITION_BUDGET:
+            raise InputError(
+                f"an order-{i} chi term of a {len(comps)}-component mixture "
+                f"expands into {count} compositions, over the composition "
+                f"budget of {_COMPOSITION_BUDGET}; lower the order or the "
+                f"components"
+            )
+        moments += itertools.islice(stream, i + 1 - len(moments))
+        js = range(i, -1, -1)
+        factors = [sign ** (i - j) * moments[j][1] for j in js]
+        logs = [math.log(math.comb(i, j)) + (i - j) * log_abs_lam
+                + moments[j][0] for j in js]
+        values.append(_signed_logsum(factors, logs, f"order-{i} chi term"))
+    return values
 
 
 def chi_pm_aef(i: int, lam: Number, fam: AefFamily, theta_p, theta_q) -> float:
@@ -252,23 +274,22 @@ def chi_pm_aef(i: int, lam: Number, fam: AefFamily, theta_p, theta_q) -> float:
     if isinstance(theta_q, MixtureSpec):
         raise InputError("chi_pm_aef takes a natural parameter for q; "
                          "use chi_pm_mixture for a mixture")
-    return _chi_pm_closed(i, lam, fam, theta_p, theta_q)
+    return _closed_values((i,), lam, fam, theta_p, theta_q)[0]
 
 
 def chi_pm_mixture(i: int, lam: Number, fam: AefFamily, theta_p,
                    mixture: MixtureSpec) -> float:
     """Chi term of p against a finite mixture q of the same family.
 
-    The i-th power of (sum_c w_c p_c - lam p) expands multinomially; each
-    composition contributes one log-normalizer gap, evaluated at a
-    signed-integer combination of the component parameters.  Domain
-    checks apply to every combination, as in chi_pm_aef; orders past the
-    composition budget raise InputError.
+    The binomial transform of moments M_0..M_i, each a sum of one
+    log-normalizer gap per composition of j over the components.  Domain
+    checks apply as in chi_pm_aef; orders past the composition budget
+    raise InputError.
     """
     if not isinstance(mixture, MixtureSpec):
         raise InputError(f"chi_pm_mixture needs a MixtureSpec, got "
                          f"{type(mixture).__name__}")
-    return _chi_pm_closed(i, lam, fam, theta_p, mixture)
+    return _closed_values((i,), lam, fam, theta_p, mixture)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +322,7 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
         raise InputError("give exactly one of theta_q and mixture")
     tp = fam.theta(theta_p)
     q = fam.theta(theta_q) if mixture is None else mixture
-    _convergent_components(i, fam, tp, q)
+    _check_vertices(i, fam, tp, fam.components(q), mixture is not None)
     lam_f = float(lam)
 
     def term(log_p, log_r):
@@ -359,11 +380,16 @@ def chi_pm_trunc_exp_closed(theta_p: Number, theta_q: Number, i: int = 3):
 # pair-level dispatch and the shared basis
 
 
+def _pair_values(orders, lam: Number, pair: PairSpec) -> list:
+    """Chi terms of a pair spec at increasing orders, from its one builder."""
+    if pair.kind == "discrete":
+        return _discrete_values(orders, lam, pair.p, pair.q)
+    return _closed_values(orders, lam, pair.fam, pair.theta_p, pair.family_q)
+
+
 def chi_pm(i: int, lam: Number, pair: PairSpec):
     """Chi term of a pair spec via its best available route."""
-    if pair.kind == "discrete":
-        return chi_pm_discrete(i, lam, pair.p, pair.q)
-    return _chi_pm_closed(i, lam, pair.fam, pair.theta_p, pair.family_q)
+    return _pair_values((i,), lam, pair)[0]
 
 
 def chi_abs(i: int, lam: Number, pair: PairSpec):
@@ -466,7 +492,7 @@ class ChiBasis:
 
 
 def compute_basis(pair: PairSpec, max_order: int, lam: Number = 1) -> ChiBasis:
-    """Build the chi basis of a pair for orders 2..max_order.
+    """Build the chi basis of a pair for orders 2..max_order in one pass.
 
     One call per pair is all an expansion workload should ever need;
     basis_build_count() counts constructions so reuse is observable.
@@ -476,6 +502,6 @@ def compute_basis(pair: PairSpec, max_order: int, lam: Number = 1) -> ChiBasis:
     global _basis_builds
     _basis_builds += 1
     orders = tuple(range(2, max_order + 1))
-    values = tuple(chi_pm(i, lam, pair) for i in orders)
+    values = tuple(_pair_values(orders, lam, pair))
     return ChiBasis(lam=lam, orders=orders, values=values,
                     method=provenance(pair), source=pair.describe())

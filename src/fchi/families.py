@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._num import quad, safe_exp, saturating_fsum
-from .errors import DivergenceError, InputError
+from .errors import InputError
 
 __all__ = [
     "DiscreteDistribution",
@@ -173,15 +173,14 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 class AefFamily:
     """Base for the exponential-family descriptors.
 
-    Subclasses set `name`, `dim` and `has_density`, and implement
-    `log_normalizer`, `in_domain`, and the parameter maps.  Families with
-    a density also implement `integrate`, the one numeric route both
-    quadrature oracles share.
+    Subclasses set `name` and `dim`, implement `log_normalizer`, and
+    override `in_domain` and the parameter maps (theta itself) as needed.
+    Families with a density also implement `integrate`, the one numeric
+    route both quadrature oracles share.
     """
 
     name: str = ""
     dim: int = 0
-    has_density: bool = False
 
     # -- parameters ---------------------------------------------------------
 
@@ -208,11 +207,11 @@ class AefFamily:
 
     def natural_param(self, source) -> np.ndarray:
         """Map the family's usual parameterization to theta."""
-        raise NotImplementedError
+        return self.theta(source)
 
     def source_param(self, theta):
         """Inverse of natural_param."""
-        raise NotImplementedError
+        return np.asarray(theta, dtype=float)
 
     # -- structure ----------------------------------------------------------
 
@@ -294,17 +293,10 @@ class GaussianIso(AefFamily):
             raise InputError("gaussian_iso needs d >= 1")
         object.__setattr__(self, "name", "gaussian_iso")
         object.__setattr__(self, "dim", self.d)
-        object.__setattr__(self, "has_density", True)
 
     def log_normalizer(self, theta):
         theta = np.asarray(theta, dtype=float)
         return 0.5 * float(theta @ theta)
-
-    def natural_param(self, source):
-        return self.theta(source)
-
-    def source_param(self, theta):
-        return np.asarray(theta, dtype=float)
 
     def density(self, x, theta):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -357,7 +349,6 @@ class Poisson(AefFamily):
     def __post_init__(self):
         object.__setattr__(self, "name", "poisson")
         object.__setattr__(self, "dim", 1)
-        object.__setattr__(self, "has_density", True)
 
     def log_normalizer(self, theta):
         return math.exp(float(np.asarray(theta).reshape(())))
@@ -425,7 +416,6 @@ class Categorical(AefFamily):
             raise InputError("categorical needs d >= 1")
         object.__setattr__(self, "name", "categorical")
         object.__setattr__(self, "dim", self.d)
-        object.__setattr__(self, "has_density", True)
 
     def log_normalizer(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -452,9 +442,6 @@ class Categorical(AefFamily):
         hi = max(0.0, float(np.max(theta)))
         w = np.concatenate(([math.exp(-hi)], np.exp(theta - hi)))
         return w / w.sum()
-
-    def probs(self, theta) -> np.ndarray:
-        return self.source_param(theta)
 
     def density(self, x, theta):
         x = int(x)
@@ -485,19 +472,24 @@ def _log_hyp0f1(b: float, z: float) -> float:
     """log 0F1(; b; z) for z >= 0 by direct series summation.
 
     Terms z^n / ((b)_n n!) fall superexponentially; summation stops when
-    the relative term drops under 1e-16.  The iteration cap only guards
-    pathological input.
+    the relative term drops under 1e-16.  Past 1e300 the sum and the term
+    are divided by 2^996, which is exact, and the log adds the shift back.
+    A series that has not settled within the cap raises InputError.
     """
     term = 1.0
     acc = 1.0
+    shifts = 0
     for n in range(_HYP0F1_CAP):
         term *= z / ((b + n) * (n + 1))
         acc += term
         if term < 1e-16 * acc:
-            return math.log(acc)
-    raise DivergenceError(
-        f"0F1 series did not settle within {_HYP0F1_CAP} terms (b={b}, z={z})"
-    )
+            return math.log(acc) + shifts * 996 * math.log(2.0)
+        if acc > 1e300:
+            acc = math.ldexp(acc, -996)
+            term = math.ldexp(term, -996)
+            shifts += 1
+    raise InputError(f"0F1 series did not settle within the "
+                     f"{_HYP0F1_CAP}-term cap (b={b}, z={z})")
 
 
 @dataclass(frozen=True)
@@ -516,17 +508,10 @@ class VonMisesFisher(AefFamily):
             raise InputError("vmf needs ambient dimension d >= 2")
         object.__setattr__(self, "name", "vmf")
         object.__setattr__(self, "dim", self.d)
-        object.__setattr__(self, "has_density", False)
 
     def log_normalizer(self, theta):
         theta = np.asarray(theta, dtype=float)
         return _log_hyp0f1(0.5 * self.d, 0.25 * float(theta @ theta))
-
-    def natural_param(self, source):
-        return self.theta(source)
-
-    def source_param(self, theta):
-        return np.asarray(theta, dtype=float)
 
     def ratio_bounds(self, theta_p, theta_q):
         # ratio = exp((tq-tp).x + F(tp) - F(tq)) on |x| = 1; extremes along Delta
@@ -563,7 +548,6 @@ class TruncatedExponential(AefFamily):
             raise InputError(f"need a < b, got a={self.a}, b={self.b}")
         object.__setattr__(self, "name", "trunc_exp")
         object.__setattr__(self, "dim", 1)
-        object.__setattr__(self, "has_density", True)
 
     @property
     def doubly(self) -> bool:
@@ -603,9 +587,6 @@ class TruncatedExponential(AefFamily):
         lo = math.exp(-self.a * t)
         hi = 0.0 if not self.doubly else math.exp(-self.b * t)
         return lo - hi
-
-    def natural_param(self, source):
-        return self.theta(source)
 
     def source_param(self, theta):
         return float(np.asarray(theta).reshape(()))

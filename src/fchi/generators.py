@@ -269,26 +269,18 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
     gamma_f = 0.5 * (1.0 + a_f)
     name = f"alpha:{key}"
 
+    if a_exact is not None and _alpha_exact(a_exact):
+        gamma, scale = (1 + a_exact) / 2, Fraction(-4) / (1 - a_exact**2)
+    else:
+        gamma, scale = gamma_f, -4.0 / (1.0 - a_f * a_f)
+
     # memoized: the generalized binomial rebuilds an O(i) product per
     # call, which dominates batch loops that sweep the same orders
-    if a_exact is not None and _alpha_exact(a_exact):
-        gamma = (1 + a_exact) / 2
-        scale = Fraction(-4) / (1 - a_exact**2)
+    @functools.lru_cache(maxsize=None)
+    def coeff(i):
+        return scale * generalized_binomial(gamma, i)
 
-        @functools.lru_cache(maxsize=None)
-        def coeff(i):
-            return scale * generalized_binomial(gamma, i)
-
-        fprime = scale * gamma
-    else:
-        scale_f = -4.0 / (1.0 - a_f * a_f)
-
-        @functools.lru_cache(maxsize=None)
-        def coeff(i):
-            return scale_f * generalized_binomial(gamma_f, i)
-
-        fprime = scale_f * gamma_f
-
+    fprime = scale * gamma
     lead = 4.0 / (1.0 - a_f * a_f)
 
     def ev(u):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -41,16 +42,37 @@ BERN_P = bernoulli(Fraction(9, 10))
 BERN_Q = bernoulli(Fraction(3, 10))
 
 
-def aef_closed_form_oracle(i, lam, log_norm, tp, tq):
-    """Independent mp implementation of the binomial closed form."""
+def aef_closed_form_oracle(i, lam, log_norm, tp, q, magnitude=False):
+    """Independent mp implementation of the multinomial closed form.
+
+    q is a natural parameter or a MixtureSpec.  The power (sum_c w_c q_c -
+    lam p)^i expands over k_0 + sum_c k_c = i into terms multinomial (-lam)^k_0
+    prod_c w_c^k_c e^E with E = F(theta) - (k_0 + 1 - i) F(theta_p) -
+    sum_c k_c F(theta_c) at theta = theta_p + sum_c k_c (theta_c - theta_p);
+    a single member is the one-component, binomial case.  magnitude=True
+    sums |terms| instead, the scale float cancellation is measured against.
+    """
     tp = np.asarray(tp, dtype=float)
-    tq = np.asarray(tq, dtype=float)
+    comps = (zip(q.weights, q.thetas) if isinstance(q, MixtureSpec)
+             else [(1, q)])
+    comps = [(w, np.asarray(t, dtype=float)) for w, t in comps]
     fp = log_norm(tp)
-    fq = log_norm(tq)
+    fc = [log_norm(t) for _, t in comps]
+    # x^k / k! for the anchor and each weight, so a term is a product
+    powers = [[x ** k / mp.factorial(k) for k in range(i + 1)]
+              for x in [-oracles.mpf_exact(lam)] + [mp.mpf(w) for w, _ in comps]]
     total = mp.mpf(0)
-    for j in range(i + 1):
-        e_j = log_norm(tp + j * (tq - tp)) - ((1 - j) * fp + j * fq)
-        total += (-oracles.mpf_exact(lam)) ** (i - j) * mp.binomial(i, j) * mp.e ** e_j
+    for ks in itertools.product(range(i + 1), repeat=len(comps)):
+        k0 = i - sum(ks)
+        if k0 < 0:
+            continue
+        theta = tp + sum(k * (t - tp) for k, (_, t) in zip(ks, comps))
+        e = log_norm(theta) - ((k0 + 1 - i) * fp
+                               + sum(k * f for k, f in zip(ks, fc)))
+        term = mp.factorial(i) * mp.exp(e)
+        for k, row in zip((k0,) + ks, powers):
+            term *= row[k]
+        total += abs(term) if magnitude else term
     return total
 
 
@@ -347,6 +369,37 @@ class TestMixture:
             compute_basis(pair, 20)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize(
+        "fam,tp,mix,lam",
+        [
+            (gaussian_iso(1), [0.1], MixtureSpec([0.3, 0.7], ([-0.5], [0.8])),
+             1),
+            (gaussian_iso(1), [0.0],
+             MixtureSpec([0.2, 0.5, 0.3], ([-0.3], [0.1], [0.4])),
+             Fraction(1, 2)),
+            (poisson(), [math.log(2.0)],
+             MixtureSpec([0.5, 0.5], ([math.log(1.6)], [math.log(2.5)])),
+             Fraction(1, 2)),
+            (poisson(), [math.log(1.5)],
+             MixtureSpec([0.2, 0.3, 0.5], ([math.log(1.2)], [math.log(1.8)],
+                                           [math.log(1.5)])), 1),
+            (trunc_exp(0.0), [2.0], MixtureSpec([0.4, 0.6], ([2.2], [3.0])),
+             1),
+            (trunc_exp(0.5, 2.0), [1.0],
+             MixtureSpec([0.6, 0.4], ([-1.0], [2.0])), Fraction(1, 2)),
+        ],
+    )
+    def test_matches_mp_multinomial_oracle(self, fam, tp, mix, lam):
+        # float cancellation is bounded by the scale of the summed terms
+        pair = PairSpec(kind="mixture", fam=fam, theta_p=fam.theta(tp),
+                        mixture=mix)
+        basis = compute_basis(pair, 16, lam)
+        for i, got in zip(basis.orders, basis.values):
+            want = aef_closed_form_oracle(i, lam, fam.log_normalizer, tp, mix)
+            scale = aef_closed_form_oracle(i, lam, fam.log_normalizer, tp,
+                                           mix, magnitude=True)
+            assert abs(got - want) <= 1e-13 * scale
+
     def test_lam_shift(self):
         fam = gaussian_iso(1)
         mix = MixtureSpec([0.4, 0.6], ([0.0], [1.0]))
@@ -597,6 +650,35 @@ class TestChiBasis:
         assert basis.values[0] == 4
         assert basis.method == "discrete-exact"
         assert basis.lam == 1
+
+    @pytest.mark.parametrize(
+        "q,k,most",
+        [
+            # k - 1 moments past the first two, F(theta_p) and F(theta_q)
+            ([0.7], 64, 64 + 2),
+            # C(k + C, C) compositions over moments 0..k, plus F(theta_c)
+            (MixtureSpec([0.2, 0.5, 0.3], ([-0.3], [0.1], [0.4])), 16,
+             math.comb(19, 3) + 3),
+        ],
+    )
+    def test_basis_forms_each_moment_once(self, monkeypatch, q, k, most):
+        fam = gaussian_iso(1)
+        calls = 0
+        real = type(fam).log_normalizer
+
+        def counted(self, theta):
+            nonlocal calls
+            calls += 1
+            return real(self, theta)
+
+        monkeypatch.setattr(type(fam), "log_normalizer", counted)
+        mixture = isinstance(q, MixtureSpec)
+        pair = PairSpec(kind="mixture" if mixture else "aef", fam=fam,
+                        theta_p=fam.theta([0.0]),
+                        theta_q=None if mixture else fam.theta(q),
+                        mixture=q if mixture else None)
+        compute_basis(pair, k)
+        assert calls <= most
 
     def test_compute_basis_validation(self):
         pair = PairSpec(kind="discrete", p=BERN_P, q=BERN_Q)

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 import oracles
-from fchi import DivergenceError, InputError
+from fchi import InputError
 from fchi.families import (
     DiscreteDistribution,
     MixtureSpec,
@@ -237,7 +237,6 @@ class TestVonMisesFisher:
 
     def test_no_density(self):
         fam = vmf(3)
-        assert not fam.has_density
         with pytest.raises(InputError):
             fam.density(0.0, np.zeros(3))
 
@@ -259,8 +258,17 @@ class TestVonMisesFisher:
         t = np.array([0.3, 0.0, 0.0, 0.1])
         assert fam.ratio_bounds(t, t.copy()) == (1.0, 1.0)
 
+    def test_log_normalizer_at_large_concentration(self):
+        # d = 3: F = log(sinh k / k) = k - log(2k) + log1p(-e^(-2k)); the
+        # series passes float range near k = 700 and must rescale
+        for kappa in (1500.0, 5000.0):
+            got = vmf(3).log_normalizer(np.array([kappa, 0.0, 0.0]))
+            want = (kappa - math.log(2.0 * kappa)
+                    + math.log1p(-math.exp(-2.0 * kappa)))
+            assert abs(got - want) <= 1e-13 * want
+
     def test_series_guard(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(InputError, match="10000-term cap"):
             vmf(3).log_normalizer(np.array([64000.0, 0.0, 0.0]))
         with pytest.raises(InputError):
             vmf(1)

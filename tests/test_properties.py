@@ -7,10 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fchi.chi import chi_pm_aef, chi_pm_mixture, chi_pm_quadrature
-from fchi.errors import DivergenceError, OverflowSaturationError
+from fchi.chi import (
+    chi_pm,
+    chi_pm_aef,
+    chi_pm_mixture,
+    chi_pm_quadrature,
+    compute_basis,
+)
+from fchi.errors import DivergenceError, InputError, OverflowSaturationError
 from fchi.families import (
+    DiscreteDistribution,
     MixtureSpec,
+    PairSpec,
     TruncatedExponential,
     categorical,
     gaussian_iso,
@@ -228,3 +236,84 @@ def test_closed_form_and_quadrature_refuse_the_same_pairs(case):
         closed = _route(lambda: chi_pm_aef(i, 1, fam, tp, q))
         summed = _route(lambda: chi_pm_quadrature(i, 1, fam, tp, theta_q=q))
     assert (closed is DivergenceError) == (summed is DivergenceError)
+
+
+# ---------------------------------------------------------------------------
+# one builder pass per basis against one builder call per order
+
+
+@st.composite
+def discrete_pairs(draw):
+    """Exact or float pairs on 1-6 atoms; zero atoms are allowed."""
+    n = draw(st.integers(1, 6))
+    exact = draw(st.booleans())
+
+    def dist():
+        raw = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)
+                   .filter(any))
+        if exact:
+            return DiscreteDistribution([Fraction(r, sum(raw)) for r in raw])
+        return DiscreteDistribution([r / sum(raw) for r in raw])
+
+    return PairSpec(kind="discrete", p=dist(), q=dist())
+
+
+def _orders(top):
+    """A max order in 2..top, the top itself about half the time."""
+    return st.one_of(st.just(top), st.integers(2, top))
+
+
+# highest order drawn per component count: one past the composition
+# budget at four components, and bounded elsewhere to keep the per-order
+# side of the comparison fast
+_MIXTURE_TOP = {1: 64, 2: 20, 3: 16, 4: 20}
+
+
+@st.composite
+def mixture_bases(draw):
+    """(pair, max_order) for 1-4 component mixtures."""
+    fam, tp, mix = draw(mixture_pairs())
+    if draw(st.integers(0, 3)) == 0:
+        # a fourth component, beyond the others' rate or offset
+        step = [[1.3 * mix.thetas[-1][0] + 0.2]]
+        mix = MixtureSpec([w * 0.8 for w in mix.weights] + [0.2],
+                          list(mix.thetas) + step)
+    pair = PairSpec(kind="mixture", fam=fam, theta_p=fam.theta(tp),
+                    mixture=mix)
+    return pair, draw(_orders(_MIXTURE_TOP[len(mix.weights)]))
+
+
+def _values(fn):
+    try:
+        return [(type(v), repr(v)) for v in fn()]
+    except (DivergenceError, InputError, OverflowSaturationError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_basis_is_each_order(pair, k, lam):
+    assert _values(lambda: compute_basis(pair, k, lam).values) == _values(
+        lambda: [chi_pm(i, lam, pair) for i in range(2, k + 1)])
+
+
+basis_anchors = st.sampled_from([1, Fraction(1, 2), -1, 0.7])
+
+
+@settings(max_examples=40)
+@given(discrete_pairs(), _orders(64), basis_anchors)
+def test_discrete_basis_is_each_order_bit_for_bit(pair, k, lam):
+    _assert_basis_is_each_order(pair, k, lam)
+
+
+@settings(max_examples=40)
+@given(closed_form_pairs(), _orders(64), basis_anchors)
+def test_aef_basis_is_each_order_bit_for_bit(case, k, lam):
+    fam, tp, tq = case
+    pair = PairSpec(kind="aef", fam=fam, theta_p=fam.theta(tp),
+                    theta_q=fam.theta(tq))
+    _assert_basis_is_each_order(pair, k, lam)
+
+
+@settings(max_examples=20)
+@given(mixture_bases(), basis_anchors)
+def test_mixture_basis_is_each_order_bit_for_bit(case, lam):
+    _assert_basis_is_each_order(*case, lam)
