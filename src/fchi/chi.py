@@ -5,7 +5,11 @@ of (q - lam p)^i / p^(i-1).  Three evaluation routes live here; the
 first two form their per-pair state once and serve any number of orders:
 
 * exact summation for finite discrete pairs over each atom's q_s/p_s -
-  lam, in Fraction arithmetic whenever the inputs are rational;
+  lam.  Rational inputs run in integers: with q_s/p_s - lam = n_s/d_s,
+  p_s = w_s/V and L = lcm(d_s), order i is the single Fraction
+  sum_s w_s n_s^i (L^i / d_s^i) / (V L^i), so each atom pays integer
+  products and one exact division per order instead of Fraction
+  arithmetic, and the value equals the per-atom Fraction sum;
 * one closed form for affine exponential families: order i is the
   binomial transform of the moments M_j = E_p[(q/p)^j], log-normalizer
   gaps summed over the compositions of j into the components of q;
@@ -36,7 +40,6 @@ import numpy as np
 from ._num import (
     MAX_EXP_ARG,
     compositions,
-    exact_or_fsum,
     format_number,
     is_exact,
     multinomial,
@@ -53,6 +56,7 @@ __all__ = [
     "chi_pm_quadrature",
     "chi_pm_trunc_exp_closed",
     "chi_pm",
+    "chi_pm_orders",
     "chi_abs",
     "ChiBasis",
     "provenance",
@@ -97,14 +101,17 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
     """Terms sum_s p_s b_s^i at increasing orders i, b_s = q_s/p_s - lam.
 
     Each b_s (|b_s| when absolute) is formed once; see chi_pm_discrete.
+    Rational inputs take the integer route of _exact_discrete_values.
     """
     orders = [_check_order(i) for i in orders]
     _check_lam(lam)
     if len(p) != len(q):
         raise InputError(f"support sizes differ: {len(p)} vs {len(q)}")
-    num = Fraction if p.is_exact and q.is_exact and is_exact(lam) else float
-    lam = num(lam)
-    pairs = [(num(ps), num(qs)) for ps, qs in zip(p.probs, q.probs)]
+    if p.is_exact and q.is_exact and is_exact(lam):
+        return _exact_discrete_values(orders, Fraction(lam), p.probs, q.probs,
+                                      absolute)
+    lam = float(lam)
+    pairs = [(float(ps), float(qs)) for ps, qs in zip(p.probs, q.probs)]
     stray = [qs for ps, qs in pairs if ps == 0 and qs != 0]
     atoms = [(ps, qs / ps - lam) for ps, qs in pairs if ps != 0]
     if absolute:
@@ -115,7 +122,46 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
             values.append(math.inf)
             continue
         terms = [ps * _pow(base, i) for ps, base in atoms]
-        values.append(exact_or_fsum(terms + stray if i == 1 else terms))
+        values.append(math.fsum(terms + stray if i == 1 else terms))
+    return values
+
+
+def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
+    """The rational case of _discrete_values, in integers.
+
+    With b_s = n_s / d_s, p_s = w_s / V (V the lcm of the p denominators)
+    and L the lcm of the d_s,
+
+        chi_i = sum_s w_s n_s^i (L^i / d_s^i) / (V L^i),
+
+    each L^i / d_s^i an exact division.  Every atom carries only its own
+    n_s^i and d_s^i, L^i is formed once per order, and each order is one
+    Fraction, whose normalisation makes it equal, type included, to the
+    per-atom Fraction sum.
+    """
+    stray = [Fraction(qs) for ps, qs in zip(p, q) if ps == 0 and qs != 0]
+    atoms = [(Fraction(ps), Fraction(qs) / Fraction(ps) - lam)
+             for ps, qs in zip(p, q) if ps != 0]
+    scale = math.lcm(*(ps.denominator for ps, _ in atoms))
+    weights = [ps.numerator * (scale // ps.denominator) for ps, _ in atoms]
+    nums = [abs(b.numerator) if absolute else b.numerator for _, b in atoms]
+    dens = [b.denominator for _, b in atoms]
+    common = math.lcm(*dens)
+    num_pows, den_pows, common_pow, reached = nums, dens, common, 1
+    values = []
+    for i in orders:
+        if stray and i >= 2:
+            values.append(math.inf)
+            continue
+        while reached < i:
+            num_pows = [a * n for a, n in zip(num_pows, nums)]
+            den_pows = [a * d for a, d in zip(den_pows, dens)]
+            common_pow *= common
+            reached += 1
+        total = sum(w * a * (common_pow // b)
+                    for w, a, b in zip(weights, num_pows, den_pows))
+        value = Fraction(total, scale * common_pow)
+        values.append(value + sum(stray) if i == 1 else value)
     return values
 
 
@@ -380,8 +426,12 @@ def chi_pm_trunc_exp_closed(theta_p: Number, theta_q: Number, i: int = 3):
 # pair-level dispatch and the shared basis
 
 
-def _pair_values(orders, lam: Number, pair: PairSpec) -> list:
-    """Chi terms of a pair spec at increasing orders, from its one builder."""
+def chi_pm_orders(orders, lam: Number, pair: PairSpec) -> list:
+    """Chi terms of a pair spec at increasing orders, from one builder pass.
+
+    An order that fails raises as chi_pm would at that order; the orders
+    before it are not returned.
+    """
     if pair.kind == "discrete":
         return _discrete_values(orders, lam, pair.p, pair.q)
     return _closed_values(orders, lam, pair.fam, pair.theta_p, pair.family_q)
@@ -389,7 +439,7 @@ def _pair_values(orders, lam: Number, pair: PairSpec) -> list:
 
 def chi_pm(i: int, lam: Number, pair: PairSpec):
     """Chi term of a pair spec via its best available route."""
-    return _pair_values((i,), lam, pair)[0]
+    return chi_pm_orders((i,), lam, pair)[0]
 
 
 def chi_abs(i: int, lam: Number, pair: PairSpec):
@@ -502,6 +552,6 @@ def compute_basis(pair: PairSpec, max_order: int, lam: Number = 1) -> ChiBasis:
     global _basis_builds
     _basis_builds += 1
     orders = tuple(range(2, max_order + 1))
-    values = tuple(_pair_values(orders, lam, pair))
+    values = tuple(chi_pm_orders(orders, lam, pair))
     return ChiBasis(lam=lam, orders=orders, values=values,
                     method=provenance(pair), source=pair.describe())

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._num import format_number
-from .chi import ChiBasis, chi_pm, compute_basis, provenance
+from .chi import ChiBasis, chi_pm_orders, compute_basis, provenance
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .expansion import (
     DEFAULT_TOL,
@@ -160,11 +160,12 @@ def _cmd_chi(args) -> int:
     _check_order(last, "--orders")
     lam = _parse_real(args.lam)
     pair = _load_pair(args)
-    rows = [(i, chi_pm(i, lam, pair)) for i in range(first, last + 1)]
+    orders = range(first, last + 1)
+    values = chi_pm_orders(orders, lam, pair)
     label = provenance(pair)
     with _Out(args.out) as fh:
         fh.write("order,chi_pm,provenance\n")
-        for i, value in rows:
+        for i, value in zip(orders, values):
             fh.write(f"{i},{format_number(value, args.rational)},{label}\n")
     return 0
 

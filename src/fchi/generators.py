@@ -258,6 +258,11 @@ def _alpha_exact(a: Fraction) -> bool:
     return ((1 + a) / 2).denominator == 1
 
 
+# the alpha of each generator _alpha_cached built: conjugation recognises
+# an alpha generator from this record, never from its name
+_alpha_of: dict = {}
+
+
 @functools.cache
 def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
     if isinstance(key, float) and key.is_integer():
@@ -312,7 +317,9 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
 
         return max(piece(m), piece(M))
 
-    return Generator(name, 0, fprime, coeff, ev, sup)
+    gen = Generator(name, 0, fprime, coeff, ev, sup)
+    _alpha_of[gen] = key
+    return gen
 
 
 def alpha_generator(alpha: Number) -> Generator:
@@ -444,6 +451,19 @@ def _conjugate_coeff(gen: Generator, i: int) -> Number:
     return -total if i % 2 else total
 
 
+def _conjugate_stream(gen: Generator) -> Callable[[int], Number]:
+    """The coefficient function c*_i, i >= 2, of f*(u) = u f(1/u).
+
+    u f_a(1/u) = 4/(1-a^2) (u - u^((1-a)/2)) differs from f_{-a} by an
+    affine term, so an alpha generator's conjugate takes the closed-form
+    stream of alpha:-a.  Every other generator takes the binomial sum,
+    which cancels in float arithmetic as the order grows.
+    """
+    if gen in _alpha_of:
+        return alpha_generator(-_alpha_of[gen]).coeff_fn
+    return functools.partial(_conjugate_coeff, gen)
+
+
 def conjugate_coeffs(gen: Generator, k_max: int) -> list:
     """Taylor coefficients of the conjugate f*(u) = u f(1/u), orders 2..k_max.
 
@@ -454,22 +474,25 @@ def conjugate_coeffs(gen: Generator, k_max: int) -> list:
         c*_i = (-1)^i * sum_{m=2..i} C(i-2, m-2) c_m
 
     so f(1) and f'(1) enter only the affine part.  Exact inputs give exact
-    rational output; float coefficients are summed with math.fsum.
+    rational output; float coefficients are summed with math.fsum.  An
+    alpha generator's conjugate is the closed-form stream of alpha:-a.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    return [_conjugate_coeff(gen, i) for i in range(2, k_max + 1)]
+    stream = _conjugate_stream(gen)
+    return [stream(i) for i in range(2, k_max + 1)]
 
 
 def conjugate_generator(gen: Generator, k_max: int = 64) -> Generator:
     """Generator object for f*(u) = u f(1/u), orders 2..k_max.
 
-    Coefficient i is the binomial sum of `conjugate_coeffs`, computed on
-    demand and cached; orders above k_max raise ValueError.  f*(1) = f(1)
+    Coefficient i is that of `conjugate_coeffs`, computed on demand and
+    cached; orders above k_max raise ValueError.  f*(1) = f(1)
     and f*'(1) = f(1) - f'(1).  deriv_sup reports +inf (no monotone
     closed form is claimed for conjugates); eval at 0 approximates the
     u -> 0+ limit numerically.
     """
+    stream = _conjugate_stream(gen)
 
     @functools.lru_cache(maxsize=None)
     def coeff(i):
@@ -477,7 +500,7 @@ def conjugate_generator(gen: Generator, k_max: int = 64) -> Generator:
             raise ValueError(
                 f"conjugate of {gen.name!r} built up to order {k_max}, asked for {i}"
             )
-        return _conjugate_coeff(gen, i)
+        return stream(i)
 
     def ev(u):
         if u == 0:

@@ -1,12 +1,14 @@
 """High-precision oracles used by the tests.
 
-Everything here is computed from scratch with mpmath at 50 significant
-digits. The generator formulas are written out directly instead of being
-routed through fchi, so a bug in the package cannot vouch for itself.
+Everything here is computed from scratch, with mpmath at 50 significant
+digits or in exact Fraction arithmetic. The formulas are written out
+directly instead of being routed through fchi, so a bug in the package
+cannot vouch for itself.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -64,6 +66,21 @@ def f_alpha(alpha):
     return f
 
 
+def alpha_conjugate_taylor(alpha, n):
+    """Taylor coefficients about u = 1 of u f_alpha(1/u), orders 0..n.
+
+    With u = 1 + t and g = (1 + alpha)/2 this is
+    4/(1 - alpha^2) (1 + t) (1 - (1 + t)^(-g)), whose middle factor is a
+    binomial series; no derivative of order n is taken.
+    """
+    a = mpf_exact(alpha)
+    g = (1 + a) / 2
+    inner = [1 - mp.binomial(-g, 0)] + [-mp.binomial(-g, i)
+                                        for i in range(1, n + 1)]
+    return [4 / (1 - a * a) * (inner[i] + (inner[i - 1] if i else 0))
+            for i in range(n + 1)]
+
+
 def exact_divergence(f, p, q):
     """sum_s p_s * f(q_s / p_s) for full-support distributions."""
     total = mp.mpf(0)
@@ -85,6 +102,26 @@ def chi_power(i, lam, p, q):
         qs_m = mpf_exact(qs)
         total += (qs_m - lam_m * ps_m) ** i / ps_m ** (i - 1)
     return total
+
+
+def chi_power_exact(orders, lam, p, q, absolute=False):
+    """sum_s p_s * b_s^i with b_s = q_s/p_s - lam, one Fraction per atom.
+
+    |b_s| when absolute.  An atom with p_s = 0 < q_s makes every order
+    i >= 2 +inf and adds q_s at i = 1.  Returns a list over `orders`.
+    """
+    lam = Fraction(lam)
+    stray = [Fraction(qs) for ps, qs in zip(p, q) if ps == 0 and qs != 0]
+    atoms = [(Fraction(ps), Fraction(qs) / Fraction(ps) - lam)
+             for ps, qs in zip(p, q) if ps != 0]
+    values = []
+    for i in orders:
+        if stray and i >= 2:
+            values.append(math.inf)
+            continue
+        terms = [ps * (abs(b) if absolute else b) ** i for ps, b in atoms]
+        values.append(sum(terms + stray if i == 1 else terms))
+    return values
 
 
 def taylor_coeffs(f, n):

@@ -15,10 +15,11 @@ from fractions import Fraction as Fr
 import pytest
 
 import fchi
-from fchi.chi import chi_pm_discrete
+from fchi._num import format_number
+from fchi.chi import chi_pm, chi_pm_discrete
 from fchi.cli import main
-from fchi.errors import OverflowSaturationError
-from fchi.families import bernoulli
+from fchi.errors import DivergenceError, OverflowSaturationError
+from fchi.families import bernoulli, load_pair_spec
 from fchi.reference import exact_f_divergence_discrete
 from fchi.generators import exponential, kl
 
@@ -106,6 +107,38 @@ class TestChiCommand:
         for row in rows:
             assert float(row[1]) == chi_pm(int(row[0]), 1, pair)
 
+    def test_one_builder_pass(self, capsys, monkeypatch):
+        fam = load_pair_spec(GAUSS_SPEC).fam
+        calls = 0
+        real = type(fam).log_normalizer
+
+        def counted(self, theta):
+            nonlocal calls
+            calls += 1
+            return real(self, theta)
+
+        monkeypatch.setattr(type(fam), "log_normalizer", counted)
+        code, out, _ = run(capsys, "chi", "--spec", GAUSS_SPEC,
+                           "--orders", "2..64")
+        assert code == 0
+        # one moment per order, as compute_basis forms them
+        assert calls <= 64 + 2
+        monkeypatch.undo()
+        pair = load_pair_spec(GAUSS_SPEC)
+        _, rows = rows_of(out)
+        assert [row[1] for row in rows] == [
+            format_number(chi_pm(i, 1, pair)) for i in range(2, 65)]
+
+    def test_divergence_names_the_first_failing_order(self, capsys):
+        # 1.5 i - 2 (i - 1) > 0 holds for orders below 4 only
+        spec = ('{"kind": "aef", "family": "trunc_exp", "a": 0, '
+                '"theta_p": [2.0], "theta_q": [1.5]}')
+        with pytest.raises(DivergenceError) as exc:
+            chi_pm(4, 1, load_pair_spec(spec))
+        code, out, err = run(capsys, "chi", "--spec", spec, "--orders", "2..8")
+        assert (code, out) == (3, "")
+        assert err == f"fchi: diverges: {exc.value}\n"
+
     def test_byte_determinism(self, capsys):
         a = run(capsys, "chi", "--spec", GAUSS_SPEC, "--orders", "2..10")
         b = run(capsys, "chi", "--spec", GAUSS_SPEC, "--orders", "2..10")
@@ -186,9 +219,9 @@ class TestChiCommand:
         assert "theta_q" in err and "theta_p" in err
 
     def test_saturation_exits_four(self, capsys, monkeypatch):
-        def boom(i, lam, pair):
+        def boom(orders, lam, pair):
             raise OverflowSaturationError("sign lost beyond float range")
-        monkeypatch.setattr("fchi.cli.chi_pm", boom)
+        monkeypatch.setattr("fchi.cli.chi_pm_orders", boom)
         code, _, err = run(capsys, "chi", "--spec", WORKED_SPEC,
                            "--orders", "2")
         assert code == 4

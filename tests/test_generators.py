@@ -279,6 +279,29 @@ def test_conjugate_alpha_negates_alpha():
     assert conj == want
 
 
+def test_alpha_conjugate_oracle_matches_mp_taylor():
+    f = oracles.f_alpha(0.5)
+    coeffs = oracles.taylor_coeffs(lambda u: u * f(1 / u), 12)
+    want = oracles.alpha_conjugate_taylor(0.5, 12)
+    for i in range(13):
+        assert abs(coeffs[i] - want[i]) < mp.mpf("1e-30"), i
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.5, 2, -3])
+def test_conjugate_alpha_matches_mp_oracle_to_order_64(alpha):
+    want = oracles.alpha_conjugate_taylor(alpha, 64)
+    conj = conjugate_generator(alpha_generator(alpha), 64)
+    streamed = conjugate_coeffs(alpha_generator(alpha), 64)
+    for i in range(2, 65):
+        assert conj.coeff(i) == streamed[i - 2]
+        assert oracles.rel_err(conj.coeff(i), want[i]) < mp.mpf("1e-13"), i
+    gen = alpha_generator(alpha)
+    assert conj.name == f"conj({gen.name})"
+    assert conj.f_at_one == gen.f_at_one
+    assert conj.fprime_at_one == gen.f_at_one - gen.fprime_at_one
+    assert conj.eval(2.0) == 2.0 * gen.eval(0.5)
+
+
 def test_conjugate_generator_object():
     cg = conjugate_generator(kl(), 20)
     assert cg.name == "conj(kl)"

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fchi.chi import (
+    chi_abs_discrete,
     chi_pm,
     chi_pm_aef,
+    chi_pm_discrete,
     chi_pm_mixture,
     chi_pm_quadrature,
     compute_basis,
@@ -317,3 +320,55 @@ def test_aef_basis_is_each_order_bit_for_bit(case, k, lam):
 @given(mixture_bases(), basis_anchors)
 def test_mixture_basis_is_each_order_bit_for_bit(case, lam):
     _assert_basis_is_each_order(*case, lam)
+
+
+# ---------------------------------------------------------------------------
+# the exact discrete builder against the per-atom Fraction sum
+
+
+@st.composite
+def exact_discrete_pairs(draw):
+    """Rational pairs on 1-60 atoms with counts up to 10^6.
+
+    q may miss up to three atoms, up to three more may be empty on both
+    sides, and a quarter of the pairs have p miss up to three atoms, which
+    makes p_s = 0 < q_s strays.
+    """
+    n = draw(st.integers(1, 60))
+    counts = st.lists(st.integers(1, 10**6), min_size=n, max_size=n)
+    atoms = st.sets(st.integers(0, n - 1), max_size=3)
+    wp, wq = draw(counts), draw(counts)
+    for s in draw(atoms):
+        wq[s] = 0
+    for s in draw(atoms):
+        wp[s] = wq[s] = 0
+    if draw(st.integers(0, 3)) == 0:
+        for s in draw(atoms):
+            wp[s] = 0
+    assume(any(wp) and any(wq))
+    return tuple(DiscreteDistribution([Fraction(w, sum(ws)) for w in ws])
+                 for ws in (wp, wq))
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@settings(max_examples=25)
+@given(exact_discrete_pairs(), st.integers(2, 64), st.data(),
+       st.sampled_from([1, Fraction(1, 2), -1, Fraction(3, 2), 2]))
+def test_exact_discrete_builder_matches_the_per_atom_sum(pq, k, data, lam):
+    p, q = pq
+    i = data.draw(st.integers(1, k))
+    basis = compute_basis(PairSpec(kind="discrete", p=p, q=q), k, lam)
+    assert _typed(basis.values) == _typed(
+        oracles.chi_power_exact(range(2, k + 1), lam, p.probs, q.probs))
+    # order 1 telescopes to 1 - lam, strays included
+    for j in (1, i):
+        assert _typed([chi_pm_discrete(j, lam, p, q)]) == _typed(
+            oracles.chi_power_exact([j], lam, p.probs, q.probs))
+        assert _typed([chi_abs_discrete(j, lam, p, q)]) == _typed(
+            oracles.chi_power_exact([j], lam, p.probs, q.probs,
+                                    absolute=True))
+    assert all(isinstance(v, Fraction) or v == math.inf
+               for v in basis.values)
