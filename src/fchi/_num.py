@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import OverflowSaturationError
+from .errors import InputError, OverflowSaturationError
 
 # exp() overflows float64 just above this argument
 MAX_EXP_ARG = math.log(sys.float_info.max)  # ~709.78
@@ -27,6 +27,40 @@ def is_exact(x) -> bool:
         # the common miss in term loops
         return False
     return kind is int or kind is Fraction or isinstance(x, (int, Fraction))
+
+
+def check_int(value, lo: int, what: str) -> int:
+    """value when it is an int of at least lo, bool excluded; else InputError."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= lo:
+        return value
+    raise InputError(f"{what} must be an integer of at least {lo}, got {value!r}")
+
+
+def check_real(value, what: str):
+    """value when it is a finite int, float or Fraction, bool excluded.
+
+    Anything else, NaN and +-inf included, raises InputError naming what.
+    """
+    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool) \
+            and (not isinstance(value, float) or math.isfinite(value)):
+        return value
+    raise InputError(f"{what} must be a finite real number, got {value!r}")
+
+
+def to_float(x) -> float:
+    """float(x), or a signed infinity where an exact x passes float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def to_floats(values) -> list:
+    """[to_float(x) for x in values], by plain float() unless one overflows."""
+    try:
+        return [float(x) for x in values]
+    except OverflowError:
+        return [to_float(x) for x in values]
 
 
 def safe_exp(x: float) -> float:
@@ -72,7 +106,7 @@ def exact_or_fsum(terms: Sequence):
     """Sum a homogeneous term list: exact for rationals, fsum for floats."""
     if terms and all(is_exact(t) for t in terms):
         return sum(terms)
-    return math.fsum(float(t) for t in terms)
+    return math.fsum(to_floats(terms))
 
 
 def log_factorial(n: int) -> float:
@@ -114,7 +148,7 @@ def format_number(x, rational: bool = False) -> str:
 def format_real(x) -> str:
     """Deterministic 17-significant-digit rendering used by the CLI."""
     if isinstance(x, Fraction):
-        x = float(x)
+        x = to_float(x)
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if math.isnan(x):

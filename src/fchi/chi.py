@@ -9,7 +9,9 @@ first two form their per-pair state once and serve any number of orders:
   p_s = w_s/V and L = lcm(d_s), order i is the single Fraction
   sum_s w_s n_s^i (L^i / d_s^i) / (V L^i), so each atom pays integer
   products and one exact division per order instead of Fraction
-  arithmetic, and the value equals the per-atom Fraction sum;
+  arithmetic, and the value equals the per-atom Fraction sum.  A pair
+  whose estimated work passes a budget is refused with InputError
+  before any power is formed;
 * one closed form for affine exponential families: order i is the
   binomial transform of the moments M_j = E_p[(q/p)^j], log-normalizer
   gaps summed over the compositions of j into the components of q;
@@ -39,6 +41,8 @@ import numpy as np
 
 from ._num import (
     MAX_EXP_ARG,
+    check_int,
+    check_real,
     compositions,
     format_number,
     is_exact,
@@ -68,18 +72,8 @@ __all__ = [
 Number = Union[int, float, Fraction]
 
 
-def _check_order(i: int) -> int:
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-        raise InputError(f"chi order must be an integer >= 1, got {i!r}")
-    return i
-
-
 def _check_lam(lam: Number) -> Number:
-    if isinstance(lam, bool) or not isinstance(lam, (int, float, Fraction)):
-        raise InputError(f"anchor lam must be a real number, got {lam!r}")
-    if isinstance(lam, float) and not math.isfinite(lam):
-        raise InputError(f"anchor lam must be finite, got {lam!r}")
-    if lam == 0:
+    if check_real(lam, "anchor lam") == 0:
         raise InputError("anchor lam must be nonzero")
     return lam
 
@@ -103,7 +97,7 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
     Each b_s (|b_s| when absolute) is formed once; see chi_pm_discrete.
     Rational inputs take the integer route of _exact_discrete_values.
     """
-    orders = [_check_order(i) for i in orders]
+    orders = [check_int(i, 1, "chi order") for i in orders]
     _check_lam(lam)
     if len(p) != len(q):
         raise InputError(f"support sizes differ: {len(p)} vs {len(q)}")
@@ -124,6 +118,12 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
         terms = [ps * _pow(base, i) for ps, base in atoms]
         values.append(math.fsum(terms + stray if i == 1 else terms))
     return values
+
+
+# most work the integer route may take, estimated as atoms * top order *
+# bits of the top denominator V L^k: a 100-atom pair with counts up to
+# 10^6 at k = 64 (about 6e8, 2 s) still runs, 150 atoms (1.1e9) do not
+_EXACT_BUDGET = 10 ** 9
 
 
 def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
@@ -147,6 +147,16 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
     nums = [abs(b.numerator) if absolute else b.numerator for _, b in atoms]
     dens = [b.denominator for _, b in atoms]
     common = math.lcm(*dens)
+    top = max(orders, default=1)
+    work = len(atoms) * top * (scale.bit_length() + top * common.bit_length())
+    if work > _EXACT_BUDGET:
+        raise InputError(
+            f"exact chi terms to order {top} of a {len(atoms)}-atom pair "
+            f"have an estimated work of {work:.3g} (atoms x order x bits of "
+            f"the top denominator), over the exact discrete budget of "
+            f"{_EXACT_BUDGET:.3g}; lower the order or the atoms, or give "
+            f"float probabilities"
+        )
     num_pows, den_pows, common_pow, reached = nums, dens, common, 1
     values = []
     for i in orders:
@@ -277,7 +287,7 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     Per order: the vertex check, the exact (1 - lam)^i when p = q, the
     composition budget, then moments up to i, each formed once.
     """
-    orders = [_check_order(i) for i in orders]
+    orders = [check_int(i, 1, "chi order") for i in orders]
     lam = _check_lam(lam)
     tp = fam.theta(theta_p)
     comps = fam.components(q)
@@ -362,7 +372,7 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
     The power (q/p - lam)^i is formed in log space and handed to the
     family's own integrate; families without a density raise InputError.
     """
-    _check_order(i)
+    check_int(i, 1, "chi order")
     lam = _check_lam(lam)
     if (theta_q is None) == (mixture is None):
         raise InputError("give exactly one of theta_q and mixture")
@@ -393,18 +403,12 @@ def chi_pm_trunc_exp_closed(theta_p: Number, theta_q: Number, i: int = 3):
     Exact (Fraction) for rational rates.  Only order 3 has this form
     tabulated; other orders go through chi_pm_aef.
     """
-    _check_order(i)
-    if i != 3:
+    if check_int(i, 1, "chi order") != 3:
         raise InputError(
             f"the tabulated rational form covers order 3 only, got i={i}")
     for name, value in (("theta_p", theta_p), ("theta_q", theta_q)):
-        if isinstance(value, bool) or not isinstance(value, (int, float,
-                                                             Fraction)):
-            raise InputError(f"{name} must be a positive real, got {value!r}")
-        if not (value > 0 and (not isinstance(value, float)
-                               or math.isfinite(value))):
-            raise InputError(f"{name} must be a positive finite real, "
-                             f"got {value!r}")
+        if not check_real(value, name) > 0:
+            raise InputError(f"{name} must be positive, got {value!r}")
     exact = (isinstance(theta_p, (int, Fraction))
              and isinstance(theta_q, (int, Fraction)))
     tp = Fraction(theta_p) if exact else float(theta_p)
@@ -490,6 +494,8 @@ class ChiBasis:
     source: str = ""
 
     def __post_init__(self):
+        if not self.orders:
+            raise InputError("a basis needs at least one order")
         if len(self.orders) != len(self.values):
             raise InputError("orders and values must align")
         if tuple(sorted(set(self.orders))) != tuple(self.orders):
@@ -547,8 +553,7 @@ def compute_basis(pair: PairSpec, max_order: int, lam: Number = 1) -> ChiBasis:
     One call per pair is all an expansion workload should ever need;
     basis_build_count() counts constructions so reuse is observable.
     """
-    if not isinstance(max_order, int) or max_order < 2:
-        raise InputError(f"max_order must be an integer >= 2, got {max_order!r}")
+    check_int(max_order, 2, "max_order")
     global _basis_builds
     _basis_builds += 1
     orders = tuple(range(2, max_order + 1))

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from ._num import format_number
+from ._num import check_int, format_number
 from .chi import ChiBasis, chi_pm_orders, compute_basis, provenance
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .expansion import (
@@ -54,9 +54,7 @@ def _order_cap() -> int:
         raise InputError(
             f"FCHI_MAX_ORDER must be an integer, got {raw!r}"
         ) from None
-    if cap < 2:
-        raise InputError(f"FCHI_MAX_ORDER must be >= 2, got {cap}")
-    return cap
+    return check_int(cap, 2, "FCHI_MAX_ORDER")
 
 
 def _check_order(value: int, label: str) -> int:
@@ -66,9 +64,7 @@ def _check_order(value: int, label: str) -> int:
             f"{label} {value} exceeds the order cap {cap} "
             f"(raise FCHI_MAX_ORDER to allow it)"
         )
-    if value < 2:
-        raise InputError(f"{label} must be >= 2, got {value}")
-    return value
+    return check_int(value, 2, label)
 
 
 def _parse_orders(text: str) -> tuple:

@@ -16,13 +16,15 @@ bit-exact partial sums at any order.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from ._num import (exact_or_fsum, format_number, format_real, is_exact,
-                   log_factorial, safe_exp)
+from ._num import (check_int, check_real, format_number, format_real,
+                   is_exact, log_factorial, safe_exp, to_float, to_floats)
 from .chi import ChiBasis, compute_basis
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .families import PairSpec, ratio_bounds_discrete
@@ -73,7 +75,7 @@ class RatioBounds:
 
     @property
     def finite(self) -> bool:
-        return float(self.M) < math.inf
+        return to_float(self.M) < math.inf
 
 
 def pair_ratio_bounds(pair: PairSpec) -> RatioBounds:
@@ -122,28 +124,42 @@ def expansion_terms(gen: Generator, basis: ChiBasis) -> list:
             out.append(c * v if Fraction in (type(c), type(v))
                        else Fraction(c) * v)
         else:
-            out.append(float(c) * float(v))
+            try:
+                out.append(float(c) * float(v))
+            except OverflowError:
+                out.append(to_float(c) * to_float(v))
     return out
+
+
+def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
+    """(terms, floats, sums): expansion_terms, their floats, running sums.
+
+    sums[j] is f(1) plus the first j terms.  Exact (Fraction) when f(1)
+    and every term are rational; otherwise a float running sum of the
+    terms in order.
+    """
+    terms = expansion_terms(gen, basis)
+    floats = to_floats(terms)
+    if is_exact(gen.f_at_one) and all(is_exact(t) for t in terms):
+        start, steps = Fraction(gen.f_at_one), terms
+    else:
+        start, steps = to_float(gen.f_at_one), floats
+    return terms, floats, list(itertools.accumulate(steps, initial=start))
 
 
 def chi_expansion(gen: Generator, basis: ChiBasis, k: Optional[int] = None):
     """Truncated expansion value at order k (default: the basis' top order).
 
-    Exact (Fraction) when f(1), every coefficient, and every chi value
-    are rational; a float otherwise.
+    The partial sum converge reports at order k: exact (Fraction) when
+    f(1), every coefficient and every chi value of the basis are
+    rational, else a float running sum.
     """
     if k is None:
         k = basis.max_order
-    elif not isinstance(k, int) or isinstance(k, bool) \
-            or k < 2 or k > basis.max_order:
-        raise InputError(
-            f"truncation order k={k!r} must be an integer in 2.."
-            f"{basis.max_order} for this basis"
-        )
-    terms = [gen.f_at_one] + [
-        t for i, t in zip(basis.orders, expansion_terms(gen, basis)) if i <= k
-    ]
-    return exact_or_fsum(terms)
+    elif check_int(k, 2, "truncation order k") > basis.max_order:
+        raise InputError(f"truncation order k={k} passes this basis' top "
+                         f"order {basis.max_order}")
+    return _partial_sums(gen, basis)[2][bisect.bisect_right(basis.orders, k)]
 
 
 def remainder_bound(gen: Generator, k: int, bounds: RatioBounds,
@@ -155,14 +171,13 @@ def remainder_bound(gen: Generator, k: int, bounds: RatioBounds,
     certificate exists (unbounded ratio or unbounded derivative), and 0.0
     when the generator's (k+1)-th derivative vanishes on [m, M].
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InputError(f"truncation order must be an integer >= 1, got {k!r}")
+    check_int(k, 1, "truncation order")
     if chi_abs_k1 is None:
         return _remainder_bounds(gen, (k,), bounds)[0]
-    sup = gen.deriv_sup(k, float(bounds.m), float(bounds.M))
+    sup = gen.deriv_sup(k, float(bounds.m), to_float(bounds.M))
     if sup == 0.0:
         return 0.0
-    env = float(chi_abs_k1)
+    env = to_float(chi_abs_k1)
     if env == 0.0:
         return 0.0
     if env == math.inf or sup == math.inf:
@@ -174,14 +189,12 @@ def _remainder_bounds(gen: Generator, orders: Sequence[int],
                       bounds: RatioBounds) -> tuple:
     """remainder_bound with the (M - m)^(k+1) envelope at each order.
 
-    The orders must be integers >= 1.  [m, M] is checked once and the
-    envelope's log taken once, so a whole report's caps cost one
-    derivative sup each.
+    The orders must be integers >= 1; RatioBounds guarantees 0 <= m <= 1
+    <= M.  The envelope's log is taken once, so a whole report's caps
+    cost one derivative sup each.
     """
     m = float(bounds.m)
-    big = float(bounds.M)
-    if not (0 <= m <= 1 <= big):
-        raise ValueError(f"need 0 <= m <= 1 <= M, got m={m!r}, M={big!r}")
+    big = to_float(bounds.M)
     sup_fn = gen.deriv_sup_fn
     width = big - m
     log_width = math.log(width) if 0.0 < width < math.inf else None
@@ -272,43 +285,27 @@ def converge(gen: Generator, source, max_order: int = 20, *,
       orders read as converging, settled at the third;
     * anything else is inconclusive.
     """
-    if tol <= 0:
+    if check_real(tol, "tolerance") <= 0:
         raise InputError(f"tolerance must be positive, got {tol!r}")
+    if exact_value is not None:
+        check_real(exact_value, "exact value")
     if isinstance(source, ChiBasis):
         basis = source
         top = basis.max_order
     else:
         basis = None
         top = max_order
-    if not isinstance(top, int) or isinstance(top, bool) or top < 4:
-        raise InputError(
-            f"verdicts need chi orders up to at least 4, got max order {top!r}"
-        )
+    check_int(top, 4, "the max order of a verdict")
     if basis is None:
         try:
             basis = compute_basis(source, max_order)
         except (DivergenceError, OverflowSaturationError) as exc:
             return _failure_report(gen, exc)
 
-    try:
-        terms = expansion_terms(gen, basis)
-    except OverflowSaturationError as exc:
-        return _failure_report(gen, exc)
+    terms, floats, sums = _partial_sums(gen, basis)
+    partials = sums[1:]
     orders = basis.orders
-    partials = []
-    acc_exact = is_exact(gen.f_at_one) and all(is_exact(t) for t in terms)
-    if acc_exact:
-        acc = Fraction(gen.f_at_one)
-        for t in terms:
-            acc += t
-            partials.append(acc)
-    else:
-        run = float(gen.f_at_one)
-        for t in terms:
-            run += float(t)
-            partials.append(run)
-
-    mags = [abs(float(t)) for t in terms]
+    mags = list(map(abs, floats))
 
     verdict = "inconclusive"
     settled = None
@@ -333,8 +330,9 @@ def converge(gen: Generator, source, max_order: int = 20, *,
             )
         else:
             streak = 0
+            sizes = to_floats(partials)
             for idx, g in enumerate(mags):
-                if g < tol * max(1.0, abs(float(partials[idx]))):
+                if g < tol * max(1.0, abs(sizes[idx])):
                     streak += 1
                     if streak >= _SETTLE_RUN and settled is None:
                         settled = orders[idx]
@@ -348,10 +346,11 @@ def converge(gen: Generator, source, max_order: int = 20, *,
         rbounds = _remainder_bounds(gen, orders, bounds)
     errors = None
     if exact_value is not None:
-        if is_exact(exact_value) and acc_exact:
+        if is_exact(exact_value) and isinstance(sums[0], Fraction):
             errors = tuple(abs(Fraction(exact_value) - s) for s in partials)
         else:
-            errors = tuple(abs(float(exact_value) - float(s)) for s in partials)
+            errors = tuple(abs(to_float(exact_value) - to_float(s))
+                           for s in partials)
 
     return ExpansionReport(
         generator=gen.name, verdict=verdict, orders=orders,
@@ -395,11 +394,8 @@ def alpha_odd_expansion(alpha: int, source):
     with no remainder to certify.  source is a ChiBasis holding orders up
     to that cut, or a PairSpec from which such a basis is built here.
     """
-    if not isinstance(alpha, int) or isinstance(alpha, bool) \
-            or alpha < 3 or alpha % 2 == 0:
-        raise InputError(
-            f"finite expansions need an odd integer alpha >= 3, got {alpha!r}"
-        )
+    if check_int(alpha, 3, "alpha of a finite expansion") % 2 == 0:
+        raise InputError(f"finite expansions need an odd alpha, got {alpha}")
     cut = (alpha + 1) // 2
     if isinstance(source, ChiBasis):
         basis = source

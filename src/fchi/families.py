@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._num import quad, safe_exp, saturating_fsum
+from ._num import check_int, check_real, quad, safe_exp, saturating_fsum
 from .errors import InputError
 
 __all__ = [
@@ -74,6 +74,14 @@ def _as_number(x) -> Number:
     raise InputError(f"probability entries must be numbers, got {type(x).__name__}")
 
 
+def _entries(values, what: str) -> tuple:
+    """tuple(values), or InputError when values is not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{what} must be a list, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Probability vector over finitely many atoms.
@@ -86,7 +94,7 @@ class DiscreteDistribution:
     probs: tuple
 
     def __init__(self, probs: Sequence[Number]):
-        entries = tuple(_as_number(p) for p in probs)
+        entries = tuple(_as_number(p) for p in _entries(probs, "probabilities"))
         if len(entries) < 1:
             raise InputError("a discrete distribution needs at least one atom")
         # written so that NaN fails each check
@@ -186,6 +194,9 @@ class AefFamily:
 
     def theta(self, value) -> np.ndarray:
         """Coerce a scalar/sequence to a validated natural-parameter vector."""
+        if not isinstance(value, np.ndarray):
+            value = [check_real(x, "a natural parameter entry") for x in
+                     (value if isinstance(value, (list, tuple)) else (value,))]
         arr = np.atleast_1d(np.asarray(value, dtype=float))
         if arr.shape != (self.dim,):
             raise InputError(
@@ -289,8 +300,7 @@ class GaussianIso(AefFamily):
     d: int = 1
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InputError("gaussian_iso needs d >= 1")
+        check_int(self.d, 1, "gaussian_iso d")
         object.__setattr__(self, "name", "gaussian_iso")
         object.__setattr__(self, "dim", self.d)
 
@@ -412,8 +422,7 @@ class Categorical(AefFamily):
     d: int = 1
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InputError("categorical needs d >= 1")
+        check_int(self.d, 1, "categorical d")
         object.__setattr__(self, "name", "categorical")
         object.__setattr__(self, "dim", self.d)
 
@@ -504,8 +513,7 @@ class VonMisesFisher(AefFamily):
     d: int = 3
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InputError("vmf needs ambient dimension d >= 2")
+        check_int(self.d, 2, "vmf ambient dimension d")
         object.__setattr__(self, "name", "vmf")
         object.__setattr__(self, "dim", self.d)
 
@@ -541,8 +549,12 @@ class TruncatedExponential(AefFamily):
     b: float = math.inf
 
     def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise InputError("trunc_exp needs a finite left endpoint")
+        object.__setattr__(self, "a", float(check_real(self.a, "trunc_exp a")))
+        # a non-finite float b is left to the a < b rule below: +inf means
+        # singly truncated, NaN and -inf are refused there
+        if not (isinstance(self.b, float) and not math.isfinite(self.b)):
+            object.__setattr__(self, "b",
+                               float(check_real(self.b, "trunc_exp b")))
         if not self.b > self.a:
             # written so that a NaN b is refused, not read as singly truncated
             raise InputError(f"need a < b, got a={self.a}, b={self.b}")
@@ -625,15 +637,38 @@ class TruncatedExponential(AefFamily):
                 f"got {margin:.6g}")
 
     def integrate(self, term, theta_p, q, reach=1):
+        """Doubly truncated: one quad over [a, b].
+
+        Singly truncated: p (q/p)^reach is a sum of exponentials whose
+        rates lie between the vertices theta_p and theta_p + reach (theta_c
+        - theta_p); the slowest nears 0 at the convergence boundary.
+        [a, a + 50 / slowest] is integrated with a breakpoint at every
+        doubling from 1 / fastest, so a tail of length 1 / margin does not
+        hide the head, and the rest in units of the slowest rate.
+        """
         f_p = self.log_normalizer(theta_p)
         t_p = float(theta_p[0])
+        comps = self.components(q)
         # the sufficient statistic is -x
-        log_ratio = self._log_ratio(theta_p, self.components(q))
+        log_ratio = self._log_ratio(theta_p, comps)
 
         def integrand(x):
             return term(-t_p * x - f_p, log_ratio(-x))
 
-        return quad(integrand, self.a, self.b, **_QUAD_KW)
+        if self.doubly:
+            return quad(integrand, self.a, self.b, **_QUAD_KW)
+        # formed as chi._check_vertices forms them, so a vertex that
+        # passed that check is a positive rate here
+        rates = [t_p] + [t_p + reach * (float(t[0]) - t_p) for _, t in comps]
+        slow, fast = min(rates), max(rates)
+        end = self.a + 50.0 / slow
+        points = [self.a + 2.0 ** m / fast
+                  for m in range(math.ceil(math.log2(50.0 * fast / slow)))]
+        head, head_err = quad(integrand, self.a, end, points=points,
+                              **_QUAD_KW)
+        tail, tail_err = quad(lambda s: integrand(end + s / slow) / slow,
+                              0.0, math.inf, **_QUAD_KW)
+        return head + tail, head_err + tail_err
 
     def describe(self):
         return f"trunc_exp(a={self.a}, b={self.b})"
@@ -656,20 +691,20 @@ def vmf(d: int) -> VonMisesFisher:
 
 
 def trunc_exp(a: float = 0.0, b: float = math.inf) -> TruncatedExponential:
-    return TruncatedExponential(float(a), math.inf if b is None else float(b))
+    return TruncatedExponential(a, math.inf if b is None else b)
 
 
 def family_from_name(name: str, *, dim: Optional[int] = None,
                      a: float = 0.0, b: Optional[float] = None) -> AefFamily:
     """Build a family from its external name, as used in spec files."""
     if name == "gaussian_iso":
-        return gaussian_iso(dim or 1)
+        return gaussian_iso(1 if dim is None else dim)
     if name == "poisson":
         return poisson()
     if name == "categorical":
-        return categorical(dim or 1)
+        return categorical(1 if dim is None else dim)
     if name == "vmf":
-        return vmf(dim or 3)
+        return vmf(3 if dim is None else dim)
     if name == "trunc_exp":
         return trunc_exp(a, math.inf if b is None else b)
     raise InputError(
@@ -691,12 +726,14 @@ class MixtureSpec:
 
     def __init__(self, weights: Sequence[float], thetas: Sequence):
         bad = f"mixture weights must be numbers, got {weights!r}"
+        weights = _entries(weights, "mixture weights")
         if any(isinstance(x, bool) for x in weights):
             raise InputError(bad)
         try:
             w = tuple(float(x) for x in weights)
         except (TypeError, ValueError) as exc:
             raise InputError(bad) from exc
+        thetas = _entries(thetas, "mixture component parameters")
         if len(w) != len(thetas):
             raise InputError(
                 f"{len(w)} weights against {len(thetas)} component parameters"
@@ -709,7 +746,7 @@ class MixtureSpec:
         if not abs(math.fsum(w) - 1.0) <= _SUM_TOL:
             raise InputError(f"mixture weights sum to {math.fsum(w)!r}, not 1")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "thetas", tuple(thetas))
+        object.__setattr__(self, "thetas", thetas)
 
     def validated(self, fam: AefFamily) -> "MixtureSpec":
         for t in self.thetas:
@@ -791,7 +828,8 @@ def load_pair_spec(source) -> PairSpec:
     if kind in ("aef", "mixture"):
         fam_name = _require(obj, "family")
         theta_p_raw = _require(obj, "theta_p")
-        tp_len = len(np.atleast_1d(np.asarray(theta_p_raw, dtype=float)))
+        tp_len = len(theta_p_raw) if isinstance(theta_p_raw, (list, tuple)) \
+            else np.size(theta_p_raw)
         fam = family_from_name(
             fam_name,
             dim=obj.get("d", tp_len),
@@ -806,7 +844,7 @@ def load_pair_spec(source) -> PairSpec:
                 theta_p=theta_p,
                 theta_q=fam.theta(_require(obj, "theta_q")),
             )
-        mix = MixtureSpec(_require(obj, "weights"), tuple(_require(obj, "thetas")))
+        mix = MixtureSpec(_require(obj, "weights"), _require(obj, "thetas"))
         return PairSpec(
             kind="mixture", fam=fam, theta_p=theta_p,
             mixture=mix.validated(fam),

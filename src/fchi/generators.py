@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from ._num import MAX_EXP_ARG, exact_or_fsum, log_factorial, safe_exp
+from ._num import (MAX_EXP_ARG, check_int, check_real, exact_or_fsum,
+                   log_factorial, safe_exp)
+from .errors import InputError
 
 __all__ = [
     "Generator",
@@ -54,8 +56,7 @@ def generalized_binomial(gamma: Number, i: int) -> Number:
     i > gamma, a zero factor enters the product and the result is exactly
     0; no other case is zeroed.  Rational gamma gives an exact Fraction.
     """
-    if i < 0:
-        raise ValueError("generalized_binomial needs i >= 0")
+    check_int(i, 0, "generalized_binomial order i")
     if isinstance(gamma, int):
         gamma = Fraction(gamma)
     out: Number = Fraction(1) if isinstance(gamma, Fraction) else 1.0
@@ -82,9 +83,7 @@ class Generator:
 
     def coeff(self, i: int) -> Number:
         """Taylor coefficient c_i = f^(i)(1)/i! for i >= 2."""
-        if not isinstance(i, int) or i < 2:
-            raise ValueError(f"coefficient order must be an integer >= 2, got {i!r}")
-        return self.coeff_fn(i)
+        return self.coeff_fn(check_int(i, 2, "coefficient order"))
 
     def eval(self, u: Number) -> float:
         """f(u) for u > 0; u = 0 returns the limit f(0+), possibly +inf."""
@@ -99,8 +98,7 @@ class Generator:
         required.  Each catalog derivative is monotone on (0, inf), which
         makes the sup an endpoint evaluation.
         """
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"deriv_sup order must be an integer >= 1, got {k!r}")
+        check_int(k, 1, "deriv_sup order")
         if not (0 <= m <= 1 <= M):
             raise ValueError(f"need 0 <= m <= 1 <= M, got m={m!r}, M={M!r}")
         return self.deriv_sup_fn(k, m, M)
@@ -269,8 +267,6 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
         key = int(key)
     a_exact = Fraction(key) if isinstance(key, (int, Fraction)) else None
     a_f = float(key)
-    if a_f in (1.0, -1.0):
-        raise ValueError("alpha = +-1 has no power-type generator; use kl/rkl")
     gamma_f = 0.5 * (1.0 + a_f)
     name = f"alpha:{key}"
 
@@ -329,6 +325,8 @@ def alpha_generator(alpha: Number) -> Generator:
     limits are kl and rkl).  Coefficients are exact rationals whenever
     (1+alpha)/2 is an integer, i.e. odd integer alpha.
     """
+    if check_real(alpha, "alpha") in (1, -1):
+        raise InputError("alpha = +-1 has no power-type generator; use kl/rkl")
     if isinstance(alpha, Fraction) and alpha.denominator == 1:
         alpha = int(alpha)
     return _alpha_cached(alpha)
@@ -397,8 +395,6 @@ def from_spec(spec: str) -> Generator:
     | exp``, ``alpha:<real>`` and ``poly:<a0>,<a1>,...`` (coefficients as
     integers, decimals or num/den rationals).
     """
-    from .errors import InputError
-
     s = spec.strip()
     if s in CATALOG:
         return CATALOG[s]()
@@ -411,10 +407,7 @@ def from_spec(spec: str) -> Generator:
                 val = Fraction(body) if "/" in body else float(body)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad alpha value {body!r}") from exc
-        try:
-            return alpha_generator(val)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return alpha_generator(val)
     if s.startswith("poly:"):
         body = s[len("poly:"):]
         try:
@@ -446,7 +439,7 @@ def catalog_coeff(gen: Generator, i: int) -> Number:
 
 def _conjugate_coeff(gen: Generator, i: int) -> Number:
     """c*_i = (-1)^i * sum_{m=2..i} C(i-2, m-2) c_m, exact for exact c_m."""
-    total = exact_or_fsum([math.comb(i - 2, m - 2) * gen.coeff(m)
+    total = exact_or_fsum([math.comb(i - 2, m - 2) * gen.coeff_fn(m)
                            for m in range(2, i + 1)])
     return -total if i % 2 else total
 
@@ -477,8 +470,7 @@ def conjugate_coeffs(gen: Generator, k_max: int) -> list:
     rational output; float coefficients are summed with math.fsum.  An
     alpha generator's conjugate is the closed-form stream of alpha:-a.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    check_int(k_max, 2, "k_max")
     stream = _conjugate_stream(gen)
     return [stream(i) for i in range(2, k_max + 1)]
 
@@ -492,6 +484,7 @@ def conjugate_generator(gen: Generator, k_max: int = 64) -> Generator:
     closed form is claimed for conjugates); eval at 0 approximates the
     u -> 0+ limit numerically.
     """
+    check_int(k_max, 2, "k_max")
     stream = _conjugate_stream(gen)
 
     @functools.lru_cache(maxsize=None)

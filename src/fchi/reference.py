@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from ._num import MAX_EXP_ARG, exact_or_fsum, safe_exp
+from ._num import MAX_EXP_ARG, check_real, exact_or_fsum, safe_exp
 from .errors import InputError
 from .families import AefFamily, DiscreteDistribution, PairSpec
 from .generators import Generator
@@ -71,9 +71,7 @@ def exact_alpha_aef(alpha: Number, fam: AefFamily, theta_p, theta_q) -> float:
     Extrapolation can leave the domain, in which case the divergence is
     +inf.  alpha = +-1 is excluded; those limits are the KL pair.
     """
-    a_f = float(alpha)
-    if not math.isfinite(a_f):
-        raise InputError(f"alpha must be finite, got {alpha!r}")
+    a_f = float(check_real(alpha, "alpha"))
     if a_f in (1.0, -1.0):
         raise InputError("alpha = +-1 is the KL/reverse-KL limit; "
                          "no power closed form exists there")

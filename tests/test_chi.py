@@ -454,6 +454,22 @@ class TestQuadratureRoute:
             d = chi_pm_quadrature(i, 1, singly, 1.0, theta_q=3.0)
             assert d == pytest.approx(c, rel=1e-9)
 
+    @pytest.mark.parametrize("margin", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("i, lam", [(2, 1), (3, Fraction(1, 2)), (7, 1)])
+    def test_singly_truncated_near_the_boundary(self, i, lam, margin):
+        # i theta_q - (i - 1) theta_p = margin: the integrand decays over a
+        # length 1/margin beside a head of length 1/theta_p
+        fam = trunc_exp(0.0)
+        tq = (i - 1 + margin) / i
+        closed = chi_pm_aef(i, lam, fam, [1.0], [tq])
+        summed = chi_pm_quadrature(i, lam, fam, [1.0], theta_q=[tq])
+        assert summed == pytest.approx(closed, rel=1e-9)
+        # a second component just inside the first adds rates between
+        mix = MixtureSpec([0.5, 0.5], ([tq], [tq + 0.02]))
+        closed = chi_pm_mixture(i, lam, fam, [1.0], mix)
+        summed = chi_pm_quadrature(i, lam, fam, [1.0], mixture=mix)
+        assert summed == pytest.approx(closed, rel=1e-9)
+
     def test_singly_truncated_divergent_region_raises(self):
         fam = trunc_exp(0.0)
         with pytest.raises(DivergenceError) as err:
@@ -638,6 +654,8 @@ class TestChiBasis:
             ChiBasis.from_csv(io.StringIO("order,chi_pm\n2,abc\n"))
         with pytest.raises(InputError):
             ChiBasis.from_csv(io.StringIO("order,chi_pm\ntwo,1.0\n"))
+        with pytest.raises(InputError, match="at least one order"):
+            ChiBasis.from_csv(io.StringIO("order,chi_pm\n"))
 
     def test_compute_basis_counts_builds(self):
         pair = PairSpec(kind="discrete", p=BERN_P, q=BERN_Q)
@@ -679,6 +697,23 @@ class TestChiBasis:
                         mixture=q if mixture else None)
         compute_basis(pair, k)
         assert calls <= most
+
+    def test_exact_discrete_budget_refuses_up_front(self):
+        # 300 atoms with counts up to 10^6: at k = 64 the top denominator
+        # V L^64 has about 200 000 bits and the basis took 15-20 s
+        rng = np.random.default_rng(7)
+        p, q = (DiscreteDistribution([Fraction(int(c), int(sum(w)))
+                                      for c in w])
+                for w in rng.integers(1, 10 ** 6, size=(2, 300)))
+        pair = PairSpec(kind="discrete", p=p, q=q)
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="exact discrete budget"):
+            compute_basis(pair, 64)
+        assert time.perf_counter() - t0 < 1.0
+        # the same atoms in floats, or at a low order, still run
+        assert compute_basis(pair, 4).is_exact
+        floats = [DiscreteDistribution([float(x) for x in d]) for d in (p, q)]
+        compute_basis(PairSpec(kind="discrete", p=floats[0], q=floats[1]), 64)
 
     def test_compute_basis_validation(self):
         pair = PairSpec(kind="discrete", p=BERN_P, q=BERN_Q)

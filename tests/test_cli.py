@@ -4,6 +4,7 @@ All run in-process except TestLazyScipy, which needs a fresh interpreter
 to see which modules an invocation loads.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import textwrap
 import time
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 import fchi
@@ -464,6 +466,56 @@ class TestBatchCommand:
         code, out, _ = run(capsys, "batch", "--spec", WORKED_SPEC,
                            "--divergences", "kl", "-k", "8")
         assert code == 0
+
+
+class TestBeyondFloatRange:
+    # chi terms of this pair pass float range from order 56 on
+    SPEC = ('{"kind": "discrete", "p": ["1/1000000", "999999/1000000"], '
+            '"q": ["1/2", "1/2"]}')
+
+    def test_chi_prints_inf_or_the_fraction(self, capsys):
+        code, out, _ = run(capsys, "chi", "--spec", self.SPEC,
+                           "--orders", "60")
+        assert code == 0
+        assert out == "order,chi_pm,provenance\n60,inf,discrete-exact\n"
+        code, out, _ = run(capsys, "chi", "--spec", self.SPEC,
+                           "--orders", "60", "--rational")
+        assert code == 0
+        pair = load_pair_spec(self.SPEC)
+        want = chi_pm_discrete(60, 1, pair.p, pair.q)
+        assert out.splitlines()[1] == (
+            f"60,{want.numerator}/{want.denominator},discrete-exact")
+
+    @pytest.mark.parametrize("argv, verdicts, kl_row", [
+        (["expand", "--generator", "kl"], 1, -1),
+        (["batch", "--generators", "kl,exp"], 2, 1),
+    ])
+    def test_expansions_report_diverging(self, capsys, argv, verdicts,
+                                         kl_row):
+        code, out, err = run(capsys, *argv, "--spec", self.SPEC, "-k", "60")
+        assert code == 0
+        assert err.count("verdict=diverging") == verdicts
+        assert err.count("note=order-56 term is non-finite") == verdicts
+        assert out.splitlines()[kl_row].endswith(",inf")
+        # kl on an exact basis sums exactly; --rational prints the sum
+        code, out, _ = run(capsys, *argv, "--spec", self.SPEC, "-k", "60",
+                           "--rational")
+        assert code == 0
+        assert "/" in out.splitlines()[kl_row].rsplit(",", 1)[1]
+
+
+def test_exact_discrete_budget_exits_2(capsys):
+    rng = np.random.default_rng(7)
+    counts = rng.integers(1, 10 ** 6, size=(2, 300))
+    spec = json.dumps({"kind": "discrete", **{
+        name: [f"{c}/{w.sum()}" for c in w] for name, w in zip("pq", counts)}})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "batch", "--spec", spec,
+                         "--generators", "kl", "-k", "64")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert "exact discrete budget" in err
 
 
 class TestOrderCap:

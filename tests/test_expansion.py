@@ -221,6 +221,27 @@ class TestChiExpansion:
         for k in range(2, 9):
             assert chi_expansion(sq, basis, k=k) == chi2
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_is_the_partial_sum_converge_reports(self, exact):
+        # fsum over the first k terms rounds differently from the running
+        # sum converge keeps; both now read one routine
+        rng = random.Random(13)
+        gens = [kl(), jensen_shannon(), exponential(), alpha_generator(0.5),
+                harmonic()]
+        for _ in range(20):
+            atoms = rng.randint(2, 6)
+            p, q = (oracles.rand_categorical(rng, atoms) for _ in range(2))
+            if not exact:
+                p, q = [float(x) for x in p], [float(x) for x in q]
+            basis = compute_basis(discrete_pair(DiscreteDistribution(p),
+                                                DiscreteDistribution(q)), 30)
+            for gen in gens:
+                partials = converge(gen, basis).partials
+                for k in range(2, 31):
+                    got = chi_expansion(gen, basis, k)
+                    assert type(got) is type(partials[k - 2])
+                    assert got == partials[k - 2], (gen.name, k)
+
     @pytest.mark.parametrize("k", [1, 0, -3, 9, 2.5, True])
     def test_rejects_bad_order(self, k):
         basis = compute_basis(WORKED, 8)

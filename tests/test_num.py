@@ -5,6 +5,8 @@ import pytest
 
 from fchi._num import (
     MAX_EXP_ARG,
+    check_int,
+    check_real,
     compositions,
     exact_or_fsum,
     format_number,
@@ -14,8 +16,9 @@ from fchi._num import (
     multinomial,
     safe_exp,
     saturating_fsum,
+    to_float,
 )
-from fchi.errors import OverflowSaturationError
+from fchi.errors import InputError, OverflowSaturationError
 
 
 def test_is_exact():
@@ -23,6 +26,34 @@ def test_is_exact():
     assert is_exact(Fraction(1, 3))
     assert not is_exact(0.5)
     assert not is_exact("1/3")
+
+
+def test_check_int():
+    assert check_int(2, 2, "k") == 2
+    assert check_int(10 ** 30, 0, "k") == 10 ** 30
+    for bad in (1, True, 2.0, Fraction(3), "3", None):
+        with pytest.raises(InputError, match="k must be an integer of at "
+                                             "least 2"):
+            check_int(bad, 2, "k")
+
+
+def test_check_real():
+    for good in (0, -3, 0.5, Fraction(1, 3), 1e308):
+        assert check_real(good, "x") is good
+    for bad in (True, math.nan, math.inf, -math.inf, "1", None, [1.0]):
+        with pytest.raises(InputError, match="x must be a finite real"):
+            check_real(bad, "x")
+
+
+def test_to_float_saturates_past_float_range():
+    big = Fraction(10 ** 400, 3)
+    assert to_float(big) == math.inf
+    assert to_float(-big) == -math.inf
+    assert to_float(-10 ** 400) == -math.inf
+    for x in (Fraction(1, 3), 7, 0.1, math.inf, Fraction(-10 ** 300, 7)):
+        assert to_float(x) == float(x)
+    assert format_real(big) == "inf"
+    assert format_real(-big) == "-inf"
 
 
 def test_safe_exp_saturates():
