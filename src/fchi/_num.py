@@ -9,6 +9,7 @@ is the only module that knows about scipy, and it loads it lazily.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,12 +38,15 @@ def check_int(value, lo: int, what: str) -> int:
 
 
 def check_real(value, what: str):
-    """value when it is a finite int, float or Fraction, bool excluded.
+    """value when it is a finite real number, bool excluded: an int, float,
+    Fraction or any other numbers.Real.
 
     Anything else, NaN and +-inf included, raises InputError naming what.
     """
-    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool) \
-            and (not isinstance(value, float) or math.isfinite(value)):
+    if not isinstance(value, bool) and (
+            isinstance(value, float) and math.isfinite(value)
+            or isinstance(value, (int, Fraction))
+            or isinstance(value, numbers.Real) and math.isfinite(value)):
         return value
     raise InputError(f"{what} must be a finite real number, got {value!r}")
 

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from ._num import (
     MAX_EXP_ARG,
     check_int,
@@ -241,14 +239,14 @@ def _check_vertices(i: int, fam: AefFamily, tp, comps, mixture: bool) -> None:
     quadrature route share this check.
     """
     for c, (_, tc) in enumerate(comps):
-        vertex = tc if i == 1 else tp + i * (tc - tp)
+        vertex = tc if i == 1 else tuple(a + i * (c - a) for a, c in zip(tp, tc))
         if not fam.in_domain(vertex):
             cond = fam.convergence_condition(i, tp, None if mixture else tc)
             raise DivergenceError(
                 f"order-{i} {'mixture ' if mixture else ''}chi term diverges "
                 f"for {fam.describe()}: the parameter at j={i}"
                 + (f" of component {c}" if mixture else "")
-                + f" ({np.asarray(vertex).tolist()!r}) leaves the domain"
+                + f" ({list(vertex)!r}) leaves the domain"
                 + (f"; {cond}" if cond else "")
             )
 
@@ -261,8 +259,8 @@ def _moments(fam: AefFamily, tp, comps):
     theta_p + sum_c k_c (theta_c - theta_p); M_0 and M_1 need no F.
     """
     f_p = fam.log_normalizer(tp)
-    parts = [(tc - tp, fam.log_normalizer(tc), math.log(w))
-             for w, tc in comps]
+    parts = [(tuple(c - a for a, c in zip(tp, tc)), fam.log_normalizer(tc),
+              math.log(w)) for w, tc in comps]
     yield 0.0, 1.0
     yield 0.0, math.fsum(w for w, _ in comps)
     for j in itertools.count(2):
@@ -273,7 +271,7 @@ def _moments(fam: AefFamily, tp, comps):
             log_w = math.log(multinomial(counts))
             for k, (delta, f_c, log_w_c) in zip(counts, parts):
                 if k:
-                    theta = theta + k * delta
+                    theta = tuple(t + k * e for t, e in zip(theta, delta))
                     gap += k * f_c
                     log_w += k * log_w_c
             logs.append(log_w + (fam.log_normalizer(theta) - gap))
@@ -298,7 +296,7 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     moments, values = [], []
     for i in orders:
         _check_vertices(i, fam, tp, comps, mixture)
-        if not mixture and np.array_equal(tp, comps[0][1]):
+        if not mixture and tp == comps[0][1]:
             values.append((1 - lam) ** i)
             continue
         count = math.comb(i + len(comps), len(comps))

@@ -4,11 +4,12 @@ An affine exponential family (AEF) is parameterized so that densities are
 ``h(x) exp(theta . t(x) - F(theta))`` with t affine and theta ranging over
 an affine slice of R^d; what this package needs from a family is its
 log-normalizer F, the parameter domain, and (when available) a density.
-Closed-form chi values only touch F, which is why the von Mises-Fisher
-family participates without any density.  Every family with a density
-carries the one numeric route both quadrature oracles use: `integrate`
-sums or integrates a term of (log p(x), log q(x)/p(x)) over its support,
-and owns the windows, cutoffs and atom budget that takes.
+A natural parameter is a tuple of floats.  Closed-form chi values only
+touch F, which is why the von Mises-Fisher family participates without
+any density.  Every family with a density carries the one numeric route
+both quadrature oracles use: `integrate` sums or integrates a term of
+(log p(x), log q(x)/p(x)) over its support, and owns the windows,
+cutoffs and atom budget that takes.
 
 Five families ship: gaussian_iso(d) (unit covariance, mean as natural
 parameter), poisson, categorical(d) (d+1 atoms, log-odds against atom 0),
@@ -26,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from ._num import check_int, check_real, quad, safe_exp, saturating_fsum
 from .errors import InputError
@@ -80,6 +79,15 @@ def _entries(values, what: str) -> tuple:
         return tuple(values)
     except TypeError:
         raise InputError(f"{what} must be a list, got {values!r}") from None
+
+
+def _reals(value, what: str) -> tuple:
+    """A scalar or an iterable of reals (a str is one entry) as floats."""
+    try:
+        entries = (value,) if isinstance(value, str) else tuple(value)
+    except TypeError:
+        entries = (value,)
+    return tuple(float(check_real(x, what)) for x in entries)
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,8 @@ class AefFamily:
     Subclasses set `name` and `dim`, implement `log_normalizer`, and
     override `in_domain` and the parameter maps (theta itself) as needed.
     Families with a density also implement `integrate`, the one numeric
-    route both quadrature oracles share.
+    route both quadrature oracles share.  Methods take a natural parameter
+    as any sequence of floats and return them as tuples.
     """
 
     name: str = ""
@@ -192,47 +201,41 @@ class AefFamily:
 
     # -- parameters ---------------------------------------------------------
 
-    def theta(self, value) -> np.ndarray:
-        """Coerce a scalar/sequence to a validated natural-parameter vector."""
-        if not isinstance(value, np.ndarray):
-            value = [check_real(x, "a natural parameter entry") for x in
-                     (value if isinstance(value, (list, tuple)) else (value,))]
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-        if arr.shape != (self.dim,):
+    def theta(self, value) -> tuple:
+        """A scalar or an iterable of reals as a validated natural parameter."""
+        theta = _reals(value, "a natural parameter entry")
+        if len(theta) != self.dim:
             raise InputError(
                 f"{self.describe()} expects a {self.dim}-dimensional natural "
-                f"parameter, got shape {arr.shape}"
+                f"parameter, got shape {(len(theta),)}"
             )
-        return self.check_domain(arr)
-
-    def in_domain(self, theta: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(theta)))
-
-    def check_domain(self, theta: np.ndarray) -> np.ndarray:
         if not self.in_domain(theta):
             raise InputError(
-                f"natural parameter {np.asarray(theta).tolist()!r} outside the "
-                f"domain of {self.describe()}"
+                f"natural parameter {list(theta)!r} outside the domain of "
+                f"{self.describe()}"
             )
         return theta
 
-    def natural_param(self, source) -> np.ndarray:
+    def in_domain(self, theta) -> bool:
+        return all(math.isfinite(t) for t in theta)
+
+    def natural_param(self, source) -> tuple:
         """Map the family's usual parameterization to theta."""
         return self.theta(source)
 
     def source_param(self, theta):
         """Inverse of natural_param."""
-        return np.asarray(theta, dtype=float)
+        return tuple(theta)
 
     # -- structure ----------------------------------------------------------
 
-    def log_normalizer(self, theta: np.ndarray) -> float:
+    def log_normalizer(self, theta) -> float:
         raise NotImplementedError
 
-    def density(self, x, theta: np.ndarray) -> float:
+    def density(self, x, theta) -> float:
         raise InputError(f"{self.describe()} exposes no density")
 
-    def ratio_bounds(self, theta_p: np.ndarray, theta_q: np.ndarray):
+    def ratio_bounds(self, theta_p, theta_q):
         """(m, M) bounds on the density ratio q/p; M = +inf means unbounded."""
         raise InputError(f"no density-ratio bounds available for {self.describe()}")
 
@@ -245,7 +248,7 @@ class AefFamily:
 
     # -- integration --------------------------------------------------------
 
-    def integrate(self, term, theta_p: np.ndarray, q, reach: int = 1):
+    def integrate(self, term, theta_p, q, reach: int = 1):
         """(value, error_estimate) of the sum or integral of term over x.
 
         term(log p(x), log(q(x)/p(x))) is summed or integrated over the
@@ -269,9 +272,9 @@ class AefFamily:
         - (F(theta_c) - F(theta_p)); a mixture combines the lines by
         log-sum-exp, so no density is formed and none underflows.
         """
-        t_p = float(theta_p[0])
+        t_p = theta_p[0]
         f_p = self.log_normalizer(theta_p)
-        lines = [(float(t[0]) - t_p, math.log(w) - (self.log_normalizer(t) - f_p))
+        lines = [(t[0] - t_p, math.log(w) - (self.log_normalizer(t) - f_p))
                  for w, t in comps]
         if len(lines) == 1:
             (a, b), = lines
@@ -305,17 +308,15 @@ class GaussianIso(AefFamily):
         object.__setattr__(self, "dim", self.d)
 
     def log_normalizer(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return 0.5 * float(theta @ theta)
+        return 0.5 * math.fsum(t * t for t in theta)
 
     def density(self, x, theta):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        theta = np.asarray(theta, dtype=float)
-        z = -0.5 * float((x - theta) @ (x - theta))
+        z = -0.5 * math.fsum((a - t) ** 2
+                             for a, t in zip(_reals(x, "a point"), theta))
         return (2.0 * math.pi) ** (-0.5 * self.d) * math.exp(z)
 
     def ratio_bounds(self, theta_p, theta_q):
-        if np.array_equal(np.asarray(theta_p, float), np.asarray(theta_q, float)):
+        if tuple(theta_p) == tuple(theta_q):
             return 1.0, 1.0
         return 0.0, math.inf
 
@@ -327,8 +328,8 @@ class GaussianIso(AefFamily):
                 )
             comps = self.components(q)
             log_ratio = self._log_ratio(theta_p, comps)
-            centre = float(theta_p[0])
-            centers = sorted([float(t[0]) for _, t in comps] + [centre])
+            centre = theta_p[0]
+            centers = sorted([t[0] for _, t in comps] + [centre])
             widen = (reach - 1) * (centers[-1] - centers[0])
             lo = centers[0] - _SIGMA_SPAN - widen
             hi = centers[-1] + _SIGMA_SPAN + widen
@@ -336,7 +337,7 @@ class GaussianIso(AefFamily):
         else:
             # the ratio depends on x only through its projection s onto the
             # mean gap, measured from theta_p, so one axis serves any d
-            gap = float(np.linalg.norm(q - theta_p))
+            gap = math.dist(q, theta_p)
             shift = -0.5 * gap * gap
             log_ratio = lambda s: gap * s + shift
             centre = 0.0
@@ -361,21 +362,21 @@ class Poisson(AefFamily):
         object.__setattr__(self, "dim", 1)
 
     def log_normalizer(self, theta):
-        return math.exp(float(np.asarray(theta).reshape(())))
+        return math.exp(theta[0])
 
     def natural_param(self, source):
-        lam = float(np.asarray(source).reshape(()))
-        if lam <= 0:
-            raise InputError(f"poisson rate must be positive, got {lam!r}")
-        return np.array([math.log(lam)])
+        rate = _reals(source, "poisson rate")
+        if len(rate) != 1 or not rate[0] > 0:
+            raise InputError(f"poisson rate must be positive, got {source!r}")
+        return (math.log(rate[0]),)
 
     def source_param(self, theta):
-        return math.exp(float(np.asarray(theta).reshape(())))
+        return math.exp(theta[0])
 
     def density(self, x, theta):
         if x < 0 or x != int(x):
             return 0.0
-        t = float(np.asarray(theta).reshape(()))
+        t = theta[0]
         return math.exp(x * t - math.exp(t) - math.lgamma(x + 1))
 
     def ratio_bounds(self, theta_p, theta_q):
@@ -390,11 +391,11 @@ class Poisson(AefFamily):
 
     def integrate(self, term, theta_p, q, reach=1):
         """Series over x = 0..cutoff, refused past _POISSON_ATOM_BUDGET atoms."""
-        t_p = float(theta_p[0])
+        t_p = theta_p[0]
         comps = self.components(q)
         # the tail of p (q/p)^reach is a Poisson series with this rate
         eff = safe_exp(max(
-            max(reach * float(t[0]) - (reach - 1) * t_p for _, t in comps),
+            max(reach * t[0] - (reach - 1) * t_p for _, t in comps),
             t_p, 0.0,
         ))
         cutoff = eff + 40.0 * math.sqrt(eff) + 100.0
@@ -427,47 +428,47 @@ class Categorical(AefFamily):
         object.__setattr__(self, "dim", self.d)
 
     def log_normalizer(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        hi = max(0.0, float(np.max(theta)))
+        hi = max(0.0, *theta)
         return hi + math.log(
-            math.exp(-hi) + float(np.sum(np.exp(theta - hi)))
+            math.exp(-hi) + math.fsum(math.exp(t - hi) for t in theta)
         )
 
     def natural_param(self, source):
-        probs = np.asarray(source, dtype=float)
-        if probs.shape != (self.d + 1,):
+        probs = _reals(source, "a categorical probability")
+        if len(probs) != self.d + 1:
             raise InputError(
                 f"categorical(d={self.d}) expects {self.d + 1} probabilities"
             )
-        if not np.all(probs > 0):
-            # written so that NaN fails too
+        if not all(p > 0 for p in probs):
             raise InputError("categorical probabilities must all be positive")
-        if not abs(float(probs.sum()) - 1.0) <= _SUM_TOL:
-            raise InputError(f"probabilities sum to {float(probs.sum())!r}, not 1")
-        return np.log(probs[1:] / probs[0])
+        if not abs(math.fsum(probs) - 1.0) <= _SUM_TOL:
+            raise InputError(f"probabilities sum to {math.fsum(probs)!r}, not 1")
+        return tuple(math.log(p / probs[0]) for p in probs[1:])
 
     def source_param(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        hi = max(0.0, float(np.max(theta)))
-        w = np.concatenate(([math.exp(-hi)], np.exp(theta - hi)))
-        return w / w.sum()
+        hi = max(0.0, *theta)
+        w = [math.exp(-hi), *(math.exp(t - hi) for t in theta)]
+        total = math.fsum(w)
+        return tuple(x / total for x in w)
 
     def density(self, x, theta):
         x = int(x)
         if not 0 <= x <= self.d:
             return 0.0
-        return float(self.source_param(theta)[x])
+        return self.source_param(theta)[x]
 
     def ratio_bounds(self, theta_p, theta_q):
-        r = self.source_param(theta_q) / self.source_param(theta_p)
-        return float(r.min()), float(r.max())
+        r = [qs / ps for ps, qs in zip(self.source_param(theta_p),
+                                       self.source_param(theta_q))]
+        return min(r), max(r)
 
     def integrate(self, term, theta_p, q, reach=1):
         """A finite sum over the d + 1 atoms; a mixture q is formed linearly."""
-        probs_q = sum(w * self.source_param(t) for w, t in self.components(q))
+        comps = [(w, self.source_param(t)) for w, t in self.components(q)]
+        probs_q = [math.fsum(w * probs[s] for w, probs in comps)
+                   for s in range(self.d + 1)]
         terms = [term(math.log(ps), math.log(qs / ps))
-                 for ps, qs in zip(self.source_param(theta_p).tolist(),
-                                   probs_q.tolist())]
+                 for ps, qs in zip(self.source_param(theta_p), probs_q)]
         return saturating_fsum(terms, "categorical sum"), 0.0
 
     def describe(self):
@@ -518,17 +519,14 @@ class VonMisesFisher(AefFamily):
         object.__setattr__(self, "dim", self.d)
 
     def log_normalizer(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return _log_hyp0f1(0.5 * self.d, 0.25 * float(theta @ theta))
+        return _log_hyp0f1(0.5 * self.d, 0.25 * math.fsum(t * t for t in theta))
 
     def ratio_bounds(self, theta_p, theta_q):
         # ratio = exp((tq-tp).x + F(tp) - F(tq)) on |x| = 1; extremes along Delta
-        tp = np.asarray(theta_p, dtype=float)
-        tq = np.asarray(theta_q, dtype=float)
-        gap = float(np.linalg.norm(tq - tp))
+        gap = math.dist(theta_q, theta_p)
         if gap == 0.0:
             return 1.0, 1.0
-        shift = self.log_normalizer(tp) - self.log_normalizer(tq)
+        shift = self.log_normalizer(theta_p) - self.log_normalizer(theta_q)
         return math.exp(-gap + shift), math.exp(gap + shift)
 
     def describe(self):
@@ -566,13 +564,13 @@ class TruncatedExponential(AefFamily):
         return math.isfinite(self.b)
 
     def in_domain(self, theta):
-        t = float(np.asarray(theta).reshape(()))
+        t = theta[0]
         if not math.isfinite(t):
             return False
         return True if self.doubly else t > 0.0
 
     def log_normalizer(self, theta):
-        t = float(np.asarray(theta).reshape(()))
+        t = theta[0]
         if not self.doubly:
             if t <= 0.0:
                 raise InputError(
@@ -595,23 +593,22 @@ class TruncatedExponential(AefFamily):
 
     def mass(self, theta) -> float:
         """Untruncated-density mass e^(-a theta) - e^(-b theta) over [a, b]."""
-        t = float(np.asarray(theta).reshape(()))
+        t = theta[0]
         lo = math.exp(-self.a * t)
         hi = 0.0 if not self.doubly else math.exp(-self.b * t)
         return lo - hi
 
     def source_param(self, theta):
-        return float(np.asarray(theta).reshape(()))
+        return theta[0]
 
     def density(self, x, theta):
-        t = float(np.asarray(theta).reshape(()))
+        t = theta[0]
         if x < self.a or x > self.b:
             return 0.0
         return math.exp(-t * x - self.log_normalizer(theta))
 
     def ratio_bounds(self, theta_p, theta_q):
-        tp = float(np.asarray(theta_p).reshape(()))
-        tq = float(np.asarray(theta_q).reshape(()))
+        tp, tq = theta_p[0], theta_q[0]
         if tp == tq:
             return 1.0, 1.0
         if self.doubly:
@@ -632,7 +629,7 @@ class TruncatedExponential(AefFamily):
         if theta_q is None:
             return (f"convergence requires {i}*theta_c - {i - 1}*theta_p > 0 "
                     f"for every component c")
-        margin = i * float(theta_q[0]) - (i - 1) * float(theta_p[0])
+        margin = i * theta_q[0] - (i - 1) * theta_p[0]
         return (f"convergence requires {i}*theta_q - {i - 1}*theta_p > 0, "
                 f"got {margin:.6g}")
 
@@ -647,7 +644,7 @@ class TruncatedExponential(AefFamily):
         hide the head, and the rest in units of the slowest rate.
         """
         f_p = self.log_normalizer(theta_p)
-        t_p = float(theta_p[0])
+        t_p = theta_p[0]
         comps = self.components(q)
         # the sufficient statistic is -x
         log_ratio = self._log_ratio(theta_p, comps)
@@ -659,7 +656,7 @@ class TruncatedExponential(AefFamily):
             return quad(integrand, self.a, self.b, **_QUAD_KW)
         # formed as chi._check_vertices forms them, so a vertex that
         # passed that check is a positive rate here
-        rates = [t_p] + [t_p + reach * (float(t[0]) - t_p) for _, t in comps]
+        rates = [t_p] + [t_p + reach * (t[0] - t_p) for _, t in comps]
         slow, fast = min(rates), max(rates)
         end = self.a + 50.0 / slow
         points = [self.a + 2.0 ** m / fast
@@ -767,8 +764,8 @@ class PairSpec:
     p: Optional[DiscreteDistribution] = None
     q: Optional[DiscreteDistribution] = None
     fam: Optional[AefFamily] = None
-    theta_p: Optional[np.ndarray] = None
-    theta_q: Optional[np.ndarray] = None
+    theta_p: Optional[tuple] = None
+    theta_q: Optional[tuple] = None
     mixture: Optional[MixtureSpec] = None
 
     @property
@@ -829,7 +826,7 @@ def load_pair_spec(source) -> PairSpec:
         fam_name = _require(obj, "family")
         theta_p_raw = _require(obj, "theta_p")
         tp_len = len(theta_p_raw) if isinstance(theta_p_raw, (list, tuple)) \
-            else np.size(theta_p_raw)
+            else 1
         fam = family_from_name(
             fam_name,
             dim=obj.get("d", tp_len),

@@ -19,8 +19,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from ._num import MAX_EXP_ARG, check_real, exact_or_fsum, safe_exp
 from .errors import InputError
 from .families import AefFamily, DiscreteDistribution, PairSpec
@@ -78,12 +76,12 @@ def exact_alpha_aef(alpha: Number, fam: AefFamily, theta_p, theta_q) -> float:
     gamma = 0.5 * (1.0 + a_f)
     tp = fam.theta(theta_p)
     tq = fam.theta(theta_q)
-    if np.array_equal(tp, tq):
+    if tp == tq:
         # the gap is identically zero; skip the float round trip that
         # would otherwise leave ~1e-17 of noise
         return 0.0
     lead = 4.0 / (1.0 - a_f * a_f)
-    theta_bar = tp + gamma * (tq - tp)
+    theta_bar = tuple(a + gamma * (b - a) for a, b in zip(tp, tq))
     if not fam.in_domain(theta_bar):
         # the coupling integral diverges; this only happens when
         # extrapolating, where the prefactor is negative
