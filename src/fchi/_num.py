@@ -51,6 +51,15 @@ def check_real(value, what: str):
     raise InputError(f"{what} must be a finite real number, got {value!r}")
 
 
+def check_float(value, what: str) -> float:
+    """float(check_real(value, what)); an exact value past float range
+    raises InputError naming what."""
+    try:
+        return float(check_real(value, what))
+    except OverflowError:
+        raise InputError(f"{what} must lie within float range") from None
+
+
 def to_float(x) -> float:
     """float(x), or a signed infinity where an exact x passes float range."""
     try:

@@ -39,6 +39,7 @@ from typing import Optional, Union
 
 from ._num import (
     MAX_EXP_ARG,
+    check_float,
     check_int,
     check_real,
     compositions,
@@ -102,7 +103,7 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
     if p.is_exact and q.is_exact and is_exact(lam):
         return _exact_discrete_values(orders, Fraction(lam), p.probs, q.probs,
                                       absolute)
-    lam = float(lam)
+    lam = check_float(lam, "anchor lam")
     pairs = [(float(ps), float(qs)) for ps, qs in zip(p.probs, q.probs)]
     stray = [qs for ps, qs in pairs if ps == 0 and qs != 0]
     atoms = [(ps, qs / ps - lam) for ps, qs in pairs if ps != 0]
@@ -291,7 +292,7 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     comps = fam.components(q)
     mixture = isinstance(q, MixtureSpec)
     sign = -1 if lam > 0 else 1
-    log_abs_lam = math.log(abs(float(lam)))
+    log_abs_lam = math.log(abs(check_float(lam, "anchor lam")))
     stream = _moments(fam, tp, comps)
     moments, values = [], []
     for i in orders:
@@ -377,7 +378,7 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
     tp = fam.theta(theta_p)
     q = fam.theta(theta_q) if mixture is None else mixture
     _check_vertices(i, fam, tp, fam.components(q), mixture is not None)
-    lam_f = float(lam)
+    lam_f = check_float(lam, "anchor lam")
 
     def term(log_p, log_r):
         sign, log_mag = _log_ratio_shift(log_r, lam_f)
@@ -409,8 +410,8 @@ def chi_pm_trunc_exp_closed(theta_p: Number, theta_q: Number, i: int = 3):
             raise InputError(f"{name} must be positive, got {value!r}")
     exact = (isinstance(theta_p, (int, Fraction))
              and isinstance(theta_q, (int, Fraction)))
-    tp = Fraction(theta_p) if exact else float(theta_p)
-    tq = Fraction(theta_q) if exact else float(theta_q)
+    tp = Fraction(theta_p) if exact else check_float(theta_p, "theta_p")
+    tq = Fraction(theta_q) if exact else check_float(theta_q, "theta_q")
     margin = 3 * tq - 2 * tp
     if margin <= 0:
         raise DivergenceError(

@@ -99,7 +99,7 @@ def pair_ratio_bounds(pair: PairSpec) -> RatioBounds:
 
 
 def _require_anchor_one(basis: ChiBasis) -> None:
-    if float(basis.lam) != 1.0:
+    if basis.lam != 1:
         raise InputError(
             f"expansions are anchored at lam = 1; this basis was built at "
             f"lam = {basis.lam!r}"

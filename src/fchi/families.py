@@ -3,13 +3,13 @@
 An affine exponential family (AEF) is parameterized so that densities are
 ``h(x) exp(theta . t(x) - F(theta))`` with t affine and theta ranging over
 an affine slice of R^d; what this package needs from a family is its
-log-normalizer F, the parameter domain, and (when available) a density.
-A natural parameter is a tuple of floats.  Closed-form chi values only
-touch F, which is why the von Mises-Fisher family participates without
-any density.  Every family with a density carries the one numeric route
-both quadrature oracles use: `integrate` sums or integrates a term of
-(log p(x), log q(x)/p(x)) over its support, and owns the windows,
-cutoffs and atom budget that takes.
+log-normalizer F and the parameter domain.  A natural parameter is a
+tuple of floats.  Closed-form chi values only touch F, which is why the
+von Mises-Fisher family participates without any density.  Every family
+with a density carries the one numeric route both quadrature oracles
+use: `integrate` sums or integrates a term of (log p(x), log q(x)/p(x))
+over its support, and owns the windows, cutoffs and atom budget that
+takes.
 
 Five families ship: gaussian_iso(d) (unit covariance, mean as natural
 parameter), poisson, categorical(d) (d+1 atoms, log-odds against atom 0),
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._num import check_int, check_real, quad, safe_exp, saturating_fsum
+from ._num import check_float, check_int, quad, safe_exp, saturating_fsum
 from .errors import InputError
 
 __all__ = [
@@ -87,7 +87,7 @@ def _reals(value, what: str) -> tuple:
         entries = (value,) if isinstance(value, str) else tuple(value)
     except TypeError:
         entries = (value,)
-    return tuple(float(check_real(x, what)) for x in entries)
+    return tuple(check_float(x, what) for x in entries)
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,11 @@ class DiscreteDistribution:
         for p in entries:
             if not p >= 0:
                 raise InputError(f"negative or NaN probability {p!r}")
-        total = sum(entries) if all(
+        total = check_float(sum(entries), "probabilities") if all(
             isinstance(p, (int, Fraction)) for p in entries
-        ) else math.fsum(float(p) for p in entries)
-        if not abs(float(total) - 1.0) <= _SUM_TOL:
-            raise InputError(f"probabilities sum to {float(total)!r}, not 1")
+        ) else math.fsum(check_float(p, "probabilities") for p in entries)
+        if not abs(total - 1.0) <= _SUM_TOL:
+            raise InputError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", entries)
 
     def __len__(self) -> int:
@@ -232,9 +232,6 @@ class AefFamily:
     def log_normalizer(self, theta) -> float:
         raise NotImplementedError
 
-    def density(self, x, theta) -> float:
-        raise InputError(f"{self.describe()} exposes no density")
-
     def ratio_bounds(self, theta_p, theta_q):
         """(m, M) bounds on the density ratio q/p; M = +inf means unbounded."""
         raise InputError(f"no density-ratio bounds available for {self.describe()}")
@@ -310,11 +307,6 @@ class GaussianIso(AefFamily):
     def log_normalizer(self, theta):
         return 0.5 * math.fsum(t * t for t in theta)
 
-    def density(self, x, theta):
-        z = -0.5 * math.fsum((a - t) ** 2
-                             for a, t in zip(_reals(x, "a point"), theta))
-        return (2.0 * math.pi) ** (-0.5 * self.d) * math.exp(z)
-
     def ratio_bounds(self, theta_p, theta_q):
         if tuple(theta_p) == tuple(theta_q):
             return 1.0, 1.0
@@ -372,12 +364,6 @@ class Poisson(AefFamily):
 
     def source_param(self, theta):
         return math.exp(theta[0])
-
-    def density(self, x, theta):
-        if x < 0 or x != int(x):
-            return 0.0
-        t = theta[0]
-        return math.exp(x * t - math.exp(t) - math.lgamma(x + 1))
 
     def ratio_bounds(self, theta_p, theta_q):
         lp = self.source_param(theta_p)
@@ -450,12 +436,6 @@ class Categorical(AefFamily):
         w = [math.exp(-hi), *(math.exp(t - hi) for t in theta)]
         total = math.fsum(w)
         return tuple(x / total for x in w)
-
-    def density(self, x, theta):
-        x = int(x)
-        if not 0 <= x <= self.d:
-            return 0.0
-        return self.source_param(theta)[x]
 
     def ratio_bounds(self, theta_p, theta_q):
         r = [qs / ps for ps, qs in zip(self.source_param(theta_p),
@@ -547,12 +527,11 @@ class TruncatedExponential(AefFamily):
     b: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(check_real(self.a, "trunc_exp a")))
+        object.__setattr__(self, "a", check_float(self.a, "trunc_exp a"))
         # a non-finite float b is left to the a < b rule below: +inf means
         # singly truncated, NaN and -inf are refused there
         if not (isinstance(self.b, float) and not math.isfinite(self.b)):
-            object.__setattr__(self, "b",
-                               float(check_real(self.b, "trunc_exp b")))
+            object.__setattr__(self, "b", check_float(self.b, "trunc_exp b"))
         if not self.b > self.a:
             # written so that a NaN b is refused, not read as singly truncated
             raise InputError(f"need a < b, got a={self.a}, b={self.b}")
@@ -591,31 +570,18 @@ class TruncatedExponential(AefFamily):
             tail = math.log(-math.expm1(-s) / s)
         return -self.a * t + math.log(width) + tail
 
-    def mass(self, theta) -> float:
-        """Untruncated-density mass e^(-a theta) - e^(-b theta) over [a, b]."""
-        t = theta[0]
-        lo = math.exp(-self.a * t)
-        hi = 0.0 if not self.doubly else math.exp(-self.b * t)
-        return lo - hi
-
     def source_param(self, theta):
         return theta[0]
-
-    def density(self, x, theta):
-        t = theta[0]
-        if x < self.a or x > self.b:
-            return 0.0
-        return math.exp(-t * x - self.log_normalizer(theta))
 
     def ratio_bounds(self, theta_p, theta_q):
         tp, tq = theta_p[0], theta_q[0]
         if tp == tq:
             return 1.0, 1.0
         if self.doubly:
-            ends = [
-                self.density(self.a, theta_q) / self.density(self.a, theta_p),
-                self.density(self.b, theta_q) / self.density(self.b, theta_p),
-            ]
+            # the density e^(-theta x - F(theta)) of q over that of p at each end
+            f_p, f_q = self.log_normalizer(theta_p), self.log_normalizer(theta_q)
+            ends = [math.exp(-tq * x - f_q) / math.exp(-tp * x - f_p)
+                    for x in (self.a, self.b)]
             return min(ends), max(ends)
         at_a = tq / tp
         if tq > tp:
@@ -722,14 +688,8 @@ class MixtureSpec:
     thetas: tuple
 
     def __init__(self, weights: Sequence[float], thetas: Sequence):
-        bad = f"mixture weights must be numbers, got {weights!r}"
-        weights = _entries(weights, "mixture weights")
-        if any(isinstance(x, bool) for x in weights):
-            raise InputError(bad)
-        try:
-            w = tuple(float(x) for x in weights)
-        except (TypeError, ValueError) as exc:
-            raise InputError(bad) from exc
+        w = tuple(check_float(x, "mixture weights")
+                  for x in _entries(weights, "mixture weights"))
         thetas = _entries(thetas, "mixture component parameters")
         if len(w) != len(thetas):
             raise InputError(
@@ -738,7 +698,6 @@ class MixtureSpec:
         if len(w) == 0:
             raise InputError("a mixture needs at least one component")
         if not all(x > 0 for x in w):
-            # written so that NaN fails too
             raise InputError(f"mixture weights must be positive, got {w!r}")
         if not abs(math.fsum(w) - 1.0) <= _SUM_TOL:
             raise InputError(f"mixture weights sum to {math.fsum(w)!r}, not 1")

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from ._num import (MAX_EXP_ARG, check_int, check_real, exact_or_fsum,
-                   log_factorial, safe_exp)
+from ._num import (MAX_EXP_ARG, check_float, check_int, check_real,
+                   exact_or_fsum, log_factorial, safe_exp)
 from .errors import InputError
 
 __all__ = [
@@ -266,7 +266,7 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
     if isinstance(key, float) and key.is_integer():
         key = int(key)
     a_exact = Fraction(key) if isinstance(key, (int, Fraction)) else None
-    a_f = float(key)
+    a_f = check_float(key, "alpha")
     gamma_f = 0.5 * (1.0 + a_f)
     name = f"alpha:{key}"
 

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from ._num import MAX_EXP_ARG, check_real, exact_or_fsum, safe_exp
+from ._num import MAX_EXP_ARG, check_float, exact_or_fsum, safe_exp
 from .errors import InputError
 from .families import AefFamily, DiscreteDistribution, PairSpec
 from .generators import Generator
@@ -69,7 +69,7 @@ def exact_alpha_aef(alpha: Number, fam: AefFamily, theta_p, theta_q) -> float:
     Extrapolation can leave the domain, in which case the divergence is
     +inf.  alpha = +-1 is excluded; those limits are the KL pair.
     """
-    a_f = float(check_real(alpha, "alpha"))
+    a_f = check_float(alpha, "alpha")
     if a_f in (1.0, -1.0):
         raise InputError("alpha = +-1 is the KL/reverse-KL limit; "
                          "no power closed form exists there")

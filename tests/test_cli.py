@@ -575,10 +575,12 @@ class TestOutputTarget:
 
 
 class TestLazyScipy:
-    """Only the quadrature routes load scipy.integrate."""
+    """Only the quadrature routes load scipy.integrate, and with it numpy."""
 
     CHILD = textwrap.dedent("""
         import contextlib, io, sys
+        import fchi
+        print("numpy" in sys.modules)
         from fchi.cli import main
         gauss, worked = sys.argv[1:]
         with contextlib.redirect_stdout(io.StringIO()), \\
@@ -590,7 +592,7 @@ class TestLazyScipy:
                 main(["expand", "--spec", worked, "--generator", "exp",
                       "-k", "10", "--with-remainder"]),
             ]
-        print(codes, "scipy.integrate" in sys.modules)
+        print(codes, "scipy.integrate" in sys.modules, "numpy" in sys.modules)
         main(["exact", "--spec", gauss, "--generator", "kl", "--quadrature"])
         print("scipy.integrate" in sys.modules)
     """)
@@ -605,7 +607,8 @@ class TestLazyScipy:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "[0, 0, 0] False\n"
+            "False\n"
+            "[0, 0, 0] False False\n"
             "generator,value,method\n"
             "kl,0.5,quadrature\n"
             "True\n"

@@ -5,11 +5,13 @@ import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fchi.chi import chi_pm, chi_pm_aef
 from fchi.cli import main
 from fchi.errors import InputError
 from fchi.expansion import converge
@@ -19,6 +21,7 @@ from fchi.families import (
     categorical,
     gaussian_iso,
     load_pair_spec,
+    poisson,
     trunc_exp,
     vmf,
 )
@@ -30,9 +33,13 @@ from fchi.generators import (
     generalized_binomial,
     kl,
 )
+from fchi.reference import exact_alpha_aef
 
 WORKED = load_pair_spec(
     '{"kind": "discrete", "p": ["9/10", "1/10"], "q": ["3/10", "7/10"]}')
+
+# an exact integer past float range: float() of it raises OverflowError
+HUGE = 10**400
 
 
 def _aef(**fields):
@@ -77,17 +84,80 @@ def _aef(**fields):
      "vmf ambient dimension d"),
     (lambda: load_pair_spec({"kind": "discrete", "p": [0.5, 0.5], "q": 5}),
      "probabilities"),
+    (lambda: trunc_exp(HUGE), "trunc_exp a"),
+    (lambda: DiscreteDistribution([HUGE, "1/2"]), "probabilities"),
+    (lambda: DiscreteDistribution([HUGE, 0.5]), "probabilities"),
+    (lambda: gaussian_iso(1).theta([HUGE]), "natural parameter"),
+    (lambda: MixtureSpec([HUGE], ([0.0],)), "mixture weights"),
+    (lambda: chi_pm(2, HUGE, load_pair_spec(
+        {"kind": "discrete", "p": [0.5, 0.5], "q": [0.25, 0.75]})),
+     "anchor lam"),
+    (lambda: chi_pm_aef(2, HUGE, poisson(), [1.0], [1.5]), "anchor lam"),
+    (lambda: alpha_generator(HUGE), "alpha"),
+    (lambda: exact_alpha_aef(HUGE, gaussian_iso(1), [0.0], [1.0]), "alpha"),
 ])
 def test_library_refuses_malformed_input(call, field):
     with pytest.raises(InputError, match=field):
         call()
 
 
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _spec(**fields):
+    return json.dumps(fields)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("chi", "--spec", _spec(kind="aef", family="trunc_exp", a=HUGE,
+                             theta_p=[2.0], theta_q=[1.5])), "trunc_exp a"),
+    (("chi", "--spec", _spec(kind="discrete", p=[HUGE, "1/2"],
+                             q=["1/2", "1/2"])), "probabilities"),
+    (("chi", "--spec", _spec(kind="aef", family="poisson", theta_p=[HUGE],
+                             theta_q=[1.5])), "natural parameter entry"),
+    (("chi", "--spec", _spec(kind="mixture", family="poisson", theta_p=[1.0],
+                             weights=[HUGE], thetas=[[1.5]])),
+     "mixture weights"),
+    (("chi", "--spec", _spec(kind="discrete", p=[0.5, 0.5], q=[0.25, 0.75]),
+      "--lam", str(HUGE)), "anchor lam"),
+    (("chi", "--spec", _spec(kind="aef", family="poisson", theta_p=[1.0],
+                             theta_q=[1.5]), "--lam", str(HUGE)),
+     "anchor lam"),
+    (("exact", "--spec", _spec(kind="aef", family="gaussian_iso",
+                               theta_p=[0.0], theta_q=[1.0]),
+      "--generator", f"alpha:{HUGE}/1"), "alpha"),
+])
+def test_cli_refuses_numbers_past_float_range(argv, field):
+    if argv[0] == "chi":
+        argv += ("--orders", "2")
+    code, _, err = _cli(*argv)
+    assert code == 2
+    assert f"{field} must lie within float range" in err
+
+
+def test_cli_keeps_exact_values_past_float_range():
+    # an exact anchor stays exact on a rational pair, and --true saturates
+    spec = _spec(kind="discrete", p=["1/2", "1/2"], q=["1/4", "3/4"])
+    half = Fraction(1, 2)
+    assert chi_pm(2, HUGE, load_pair_spec(spec)) == \
+        half * (half - HUGE) ** 2 + half * (3 * half - HUGE) ** 2
+    code, out, _ = _cli("chi", "--spec", spec, "--orders", "2",
+                        "--lam", str(HUGE))
+    assert (code, out) == (0, "order,chi_pm,provenance\n2,inf,discrete-exact\n")
+    code, _, err = _cli("expand", "--spec", spec, "--generator", "kl",
+                        "-k", "6", "--true", str(HUGE))
+    assert code == 0 and "verdict=" in err
+
+
 # ---------------------------------------------------------------------------
 # cli.main never raises
 
 odd = st.sampled_from(["x", "", True, False, math.nan, math.inf, -math.inf,
-                       None, {}, [], 0, -1, 2.5])
+                       None, {}, [], 0, -1, 2.5, 10**400])
 reals = st.one_of(st.sampled_from([0.0, 0.5, 1, -1.0, 2, 1e-3]), odd)
 
 
