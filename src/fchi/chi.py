@@ -240,7 +240,7 @@ def _check_vertices(i: int, fam: AefFamily, tp, comps, mixture: bool) -> None:
     quadrature route share this check.
     """
     for c, (_, tc) in enumerate(comps):
-        vertex = tc if i == 1 else tuple(a + i * (c - a) for a, c in zip(tp, tc))
+        vertex = tc if i == 1 else tuple(a + i * (b - a) for a, b in zip(tp, tc))
         if not fam.in_domain(vertex):
             cond = fam.convergence_condition(i, tp, None if mixture else tc)
             raise DivergenceError(

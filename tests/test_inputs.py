@@ -88,7 +88,8 @@ def _aef(**fields):
     (lambda: DiscreteDistribution([HUGE, "1/2"]), "probabilities"),
     (lambda: DiscreteDistribution([HUGE, 0.5]), "probabilities"),
     (lambda: gaussian_iso(1).theta([HUGE]), "natural parameter"),
-    (lambda: MixtureSpec([HUGE], ([0.0],)), "mixture weights"),
+    (lambda: MixtureSpec([HUGE], ([0.0],)),
+     "mixture weights must lie within float range"),
     (lambda: chi_pm(2, HUGE, load_pair_spec(
         {"kind": "discrete", "p": [0.5, 0.5], "q": [0.25, 0.75]})),
      "anchor lam"),
