@@ -2,16 +2,20 @@
 
 Exact-rational inputs stay exact; anything float degrades to compensated
 float summation. Factorial-sized magnitudes are handled in log space via
-lgamma so no integer factorial product is ever formed for bounds.  This
-is the only module that knows about scipy, and it loads it lazily.
+lgamma so no integer factorial product is ever formed for bounds.
+Integration is QUADPACK's global adaptive Gauss-Kronrod scheme in plain
+Python, so fchi needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 import sys
+import warnings
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, OverflowSaturationError
@@ -81,15 +85,145 @@ def safe_exp(x: float) -> float:
     return math.inf if x > MAX_EXP_ARG else math.exp(x)
 
 
-def quad(fn, lo, hi, **kw):
-    """scipy.integrate.quad, with scipy imported on the first call.
+class _GaussKronrod:
+    """A Gauss-Kronrod rule on [-1, 1] in QUADPACK's order.
 
-    Only the quadrature cross-checks integrate, so importing fchi and
-    every closed-form or exact route never pays for loading scipy.
+    `pairs` holds (node, Kronrod weight, Gauss weight) for each positive
+    node, the nodes of the embedded Gauss rule first; `centre` holds the
+    two weights of the node 0, whose Gauss weight is 0 when the Gauss
+    rule has an even number of nodes.  `nodes` lists the negative nodes,
+    the positive ones and 0, and `weights` their Kronrod weights.
     """
-    from scipy import integrate
 
-    return integrate.quad(fn, lo, hi, **kw)
+    def __init__(self, pairs, centre):
+        nodes = [x for x, _, _ in pairs]
+        self.n = len(pairs)
+        self.nodes = [-x for x in nodes] + nodes + [0.0]
+        self.wk = [w for _, w, _ in pairs]
+        self.wg = [w for _, _, w in pairs if w]
+        self.ck, self.cg = centre
+        self.weights = self.wk + self.wk + [self.ck]
+
+
+# Piessens et al., QUADPACK (Springer, 1983): the 15-point rule of qk15
+# around the 7-point Gauss rule, and the 21-point rule of qk21 around the
+# 10-point Gauss rule
+_QK15 = _GaussKronrod((
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970,
+     0.0),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518,
+     0.0),
+    (0.586087235467691130294144838258730, 0.169004726639267902826583426598550,
+     0.0),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649,
+     0.0),
+), (0.209482141084727828012999174891714, 0.417959183673469387755102040816327))
+
+_QK21 = _GaussKronrod((
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192,
+     0.0),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580,
+     0.0),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366,
+     0.0),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074,
+     0.0),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717,
+     0.0),
+), (0.149445554002916905664936468389821, 0.0))
+
+_EPS50 = 50.0 * sys.float_info.epsilon
+_TINY_ABS = sys.float_info.min / _EPS50
+
+
+def _gauss_kronrod(fn, a: float, b: float, rule: _GaussKronrod):
+    """(value, error estimate) of one rule on [a, b], as QUADPACK's qk15
+    and qk21 form them.
+
+    The estimate scales |Kronrod - Gauss| by resasc, the rule's integral
+    of |fn - mean|, and is never less than 50 machine epsilons times the
+    rule's integral of |fn|.
+    """
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fv = [fn(centre + half * x) for x in rule.nodes]
+    fc = fv[-1]
+    sums = list(map(add, fv[:rule.n], fv[rule.n:-1]))
+    kronrod = sum(map(mul, rule.wk, sums), rule.ck * fc)
+    gauss = sum(map(mul, rule.wg, sums), rule.cg * fc)
+    mean = 0.5 * kronrod
+    resabs = half * sum(map(mul, rule.weights, map(abs, fv)))
+    resasc = half * sum(map(mul, rule.weights, [abs(f - mean) for f in fv]))
+    err = abs((kronrod - gauss) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
+    if resabs > _TINY_ABS:
+        err = max(_EPS50 * resabs, err)
+    return kronrod * half, err
+
+
+def quad(fn, lo: float, hi: float, points=(), limit: int = 50,
+         epsabs: float = 1.49e-8, epsrel: float = 1.49e-8):
+    """(integral, error estimate) of fn over [lo, hi] by global adaptive
+    Gauss-Kronrod quadrature, after QUADPACK's qagp and qagi.
+
+    A finite range is split at the points inside it and each piece takes
+    the 21-point rule.  hi = inf maps [lo, inf) onto (0, 1] by
+    x = lo + (1 - t)/t and takes the 15-point rule.  The interval with
+    the largest error estimate is bisected until the summed estimate is
+    at most max(epsabs, epsrel |integral|), or until `limit` intervals
+    exist, which warns with a RuntimeWarning naming the estimate.  A
+    value or estimate that is not finite ends the loop at once.  The
+    integral is the math.fsum of the interval values.
+    """
+    if hi == math.inf:
+        rule, edges = _QK15, (0.0, 1.0)
+        integrand = lambda t: fn(lo + (1.0 - t) / t) / t / t
+    else:
+        rule, integrand = _QK21, fn
+        edges = [lo, *sorted({p for p in points if lo < p < hi}), hi]
+    heap = []
+    for a, b in zip(edges, edges[1:]):
+        value, err = _gauss_kronrod(integrand, a, b, rule)
+        heap.append((-err, a, b, value))
+    heapq.heapify(heap)
+    value = sum(item[3] for item in heap)
+    err = -sum(item[0] for item in heap)
+    while (math.isfinite(value + err)
+           and err > max(epsabs, epsrel * abs(value))):
+        if len(heap) >= limit:
+            warnings.warn(
+                f"quadrature reached its limit of {limit} intervals with "
+                f"error estimate {err:.3g}", RuntimeWarning, stacklevel=2)
+            break
+        neg_err, a, b, old = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        v1, e1 = _gauss_kronrod(integrand, a, mid, rule)
+        v2, e2 = _gauss_kronrod(integrand, mid, b, rule)
+        heapq.heappush(heap, (-e1, a, mid, v1))
+        heapq.heappush(heap, (-e2, mid, b, v2))
+        value += v1 + v2 - old
+        err += e1 + e2 + neg_err
+    if math.isfinite(value + err):
+        value = math.fsum(item[3] for item in heap)
+        err = -math.fsum(item[0] for item in heap)
+    return value, err
 
 
 _RESCALE = 2.0 ** -600

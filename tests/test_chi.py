@@ -470,6 +470,15 @@ class TestQuadratureRoute:
         summed = chi_pm_quadrature(i, lam, fam, [1.0], mixture=mix)
         assert summed == pytest.approx(closed, rel=1e-9)
 
+    def test_quadrature_short_of_its_tolerance_warns(self):
+        # a margin 2 theta_q - theta_p of 2.2e-16: the log-space integrand
+        # cancels two numbers near 5e15, and the value is off (the closed
+        # form gives 1.41e15), so the integrator must say it did not converge
+        fam = trunc_exp(0.0)
+        with pytest.warns(RuntimeWarning, match="quadrature reached its "
+                                                "limit of 300 intervals"):
+            chi_pm_quadrature(2, 1, fam, [1.25], theta_q=[0.6250000000000001])
+
     def test_singly_truncated_divergent_region_raises(self):
         fam = trunc_exp(0.0)
         with pytest.raises(DivergenceError) as err:

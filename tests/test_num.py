@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from fchi._num import (
+    _QK15,
+    _QK21,
     MAX_EXP_ARG,
     check_int,
     check_real,
@@ -14,10 +16,12 @@ from fchi._num import (
     is_exact,
     log_factorial,
     multinomial,
+    quad,
     safe_exp,
     saturating_fsum,
     to_float,
 )
+from fchi._num import _gauss_kronrod
 from fchi.errors import InputError, OverflowSaturationError
 
 
@@ -125,3 +129,88 @@ def test_format_number_renders_exact_values_as_fractions():
     assert format_number(Fraction(3, 8)) == "0.375"
     assert format_number(0.375, rational=True) == "0.375"
     assert format_number(math.inf, rational=True) == "inf"
+
+
+def _monomial_miss(value, m):
+    """|value - integral of x^m over [-1, 1]|."""
+    return abs(value - (0.0 if m % 2 else 2.0 / (m + 1)))
+
+
+@pytest.mark.parametrize("rule, n_gauss", [(_QK15, 7), (_QK21, 10)])
+def test_gauss_kronrod_rules_have_their_degrees(rule, n_gauss):
+    # a 2n+1 point Kronrod extension of the n-point Gauss rule is exact to
+    # degree 3n+2 (n odd) or 3n+1 (n even), the Gauss rule to degree 2n-1
+    assert len(rule.nodes) == 2 * n_gauss + 1
+    assert 2 * len(rule.wg) + (rule.cg != 0.0) == n_gauss
+    top = 3 * n_gauss + 1 + n_gauss % 2
+    for m in range(top + 2):
+        value, _ = _gauss_kronrod(lambda x: x ** m, -1.0, 1.0, rule)
+        if m <= top:
+            assert _monomial_miss(value, m) < 1e-15, m
+        else:
+            assert _monomial_miss(value, m) > 1e-13
+    positive = rule.nodes[rule.n:2 * rule.n]
+
+    def gauss(m):
+        pairs = math.fsum(w * (x ** m + (-x) ** m)
+                          for x, w in zip(positive, rule.wg))
+        return pairs + rule.cg * 0.0 ** m
+
+    for m in range(2 * n_gauss):
+        assert _monomial_miss(gauss(m), m) < 1e-15, m
+    assert _monomial_miss(gauss(2 * n_gauss), 2 * n_gauss) > 1e-6
+
+
+def test_quad_integrates_finite_and_infinite_ranges():
+    value, err = quad(math.sin, 0.0, math.pi)
+    assert value == pytest.approx(2.0, rel=1e-15) and err < 1e-13
+    value, err = quad(lambda x: math.exp(-x), 0.0, math.inf)
+    assert value == pytest.approx(1.0, rel=1e-13) and err < 1e-10
+    value, _ = quad(lambda x: 1.0 / (x * x), 1.0, math.inf)
+    assert value == pytest.approx(1.0, rel=1e-13)
+
+
+def test_quad_splits_at_the_points_inside_the_range():
+    calls = []
+
+    def kink(x):
+        calls.append(x)
+        return abs(x)
+
+    # two linear pieces are exact at once; points outside or repeated
+    # add no interval
+    value, err = quad(kink, -1.0, 2.0, points=[0.0, 0.0, -3.0, 2.0])
+    assert value == 2.5 and err < 1e-13
+    assert len(calls) == 2 * 21
+
+
+def test_quad_warns_when_the_limit_is_reached_above_tolerance():
+    with pytest.warns(RuntimeWarning, match="limit of 4 intervals with "
+                                            "error estimate"):
+        value, err = quad(lambda x: x ** -0.9, 0.0, 1.0, limit=4)
+    assert abs(value - 10.0) > 1.0 and err > 1.0
+
+
+def test_quad_sums_the_interval_values_exactly():
+    # a running float total of 1e16, 1 and -1e16 would drop the 1
+    steps = lambda x: 1e16 if x < 1.0 else 1.0 if x < 2.0 else -1e16
+    value, _ = quad(steps, 0.0, 3.0, points=[1.0, 2.0], epsabs=1e3)
+    assert value == 1.0
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: math.inf if x < 0.4 else 1.0,
+    lambda x: math.nan if x < 0.4 else 1.0,
+    # finite values whose error estimate overflows
+    lambda x: 1.5e308 if x < 2.0 else -1.5e308,
+])
+def test_quad_stops_at_a_non_finite_value_or_estimate(fn):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    value, err = quad(counted, 0.0, 4.0, limit=300)
+    assert len(calls) == 21
+    assert not math.isfinite(value + err)

@@ -1,14 +1,20 @@
 """Property tests over generated inputs; conftest derandomizes hypothesis."""
 
 import math
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate as scipy_integrate
 
 import oracles
+from fchi import families
+from fchi._num import safe_exp
 from fchi.chi import (
+    _log_ratio_shift,
     chi_abs_discrete,
     chi_pm,
     chi_pm_aef,
@@ -221,7 +227,8 @@ def singly_truncated_near_the_boundary(draw):
 
 
 # near the boundary quad warns and may miss mass; only refusals compare here
-@pytest.mark.filterwarnings("ignore:The integral is probably divergent")
+@pytest.mark.filterwarnings(
+    "ignore:quadrature reached its limit:RuntimeWarning")
 @settings(max_examples=80)
 @given(singly_truncated_near_the_boundary())
 def test_closed_form_and_quadrature_refuse_the_same_pairs(case):
@@ -233,6 +240,61 @@ def test_closed_form_and_quadrature_refuse_the_same_pairs(case):
         closed = _route(lambda: chi_pm_aef(i, 1, fam, tp, q))
         summed = _route(lambda: chi_pm_quadrature(i, 1, fam, tp, theta_q=q))
     assert (closed is DivergenceError) == (summed is DivergenceError)
+
+
+@st.composite
+def integration_cases(draw):
+    """(family, theta_p, q, i) for the families integrated on a real range:
+    gaussian members and mixtures, and singly and doubly truncated
+    exponentials with the order-i chi term convergent."""
+    i = draw(st.integers(min_value=2, max_value=4))
+    kind = draw(st.sampled_from(["gaussian", "mixture", "singly", "doubly"]))
+    if kind == "gaussian":
+        d = draw(st.integers(1, 2))
+        tp = draw(_vector(d, -1.0, 1.0))
+        return gaussian_iso(d), tp, [t + draw(st.floats(-1.5, 1.5))
+                                     for t in tp], i
+    if kind == "mixture":
+        tp = draw(st.floats(-1.0, 1.0))
+        n = draw(st.integers(1, 3))
+        raw = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+        thetas = [[tp + draw(st.floats(-1.5, 1.5))] for _ in range(n)]
+        return gaussian_iso(1), [tp], MixtureSpec(
+            [w / math.fsum(raw) for w in raw], thetas), i
+    a = draw(st.floats(0.0, 1.0))
+    if kind == "singly":
+        tp = draw(st.floats(0.5, 3.0))
+        # i theta_q - (i - 1) theta_p stays at least theta_p / 20
+        low = (i - 1) / i + 0.05 / i
+        return trunc_exp(a), [tp], [tp * draw(st.floats(low, 2.0))], i
+    fam = trunc_exp(a, a + draw(st.floats(0.5, 5.0)))
+    return fam, [draw(st.floats(-2.0, 3.0))], [draw(st.floats(-2.0, 3.0))], i
+
+
+def _scipy_quad(fn, lo, hi, **kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return scipy_integrate.quad(fn, lo, hi, **kw)
+
+
+@settings(max_examples=40)
+@given(integration_cases())
+def test_quad_matches_scipy_quad_on_every_family_integrand(case):
+    fam, tp, q, i = case
+    tp = fam.theta(tp)
+    if not isinstance(q, MixtureSpec):
+        q = fam.theta(q)
+
+    def term(log_p, log_r):
+        # p (q/p - 1)^i, formed in log space as chi_pm_quadrature forms it
+        sign, log_mag = _log_ratio_shift(log_r, 1.0)
+        return sign ** i * safe_exp(log_p + i * log_mag) if sign else 0.0
+
+    ours, our_err = fam.integrate(term, tp, q, reach=i)
+    with mock.patch.object(families, "quad", _scipy_quad):
+        theirs, their_err = fam.integrate(term, tp, q, reach=i)
+    assert (abs(ours - theirs) <= our_err + their_err
+            or abs(ours - theirs) <= 1e-12 * abs(theirs))
 
 
 # ---------------------------------------------------------------------------
