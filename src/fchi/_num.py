@@ -260,6 +260,20 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
+_LOG_FACTORIALS = [0.0]
+
+
+def log_factorials(n: int) -> list:
+    """A list whose entry j is log_factorial(j), for j < n at least.
+
+    One list serves every caller; it grows on demand and is never copied.
+    """
+    table = _LOG_FACTORIALS
+    while len(table) < n:
+        table.append(log_factorial(len(table)))
+    return table
+
+
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """All ordered tuples of `parts` nonnegative ints summing to `total`."""
     if parts <= 0:

@@ -6,11 +6,12 @@ first two form their per-pair state once and serve any number of orders:
 
 * exact summation for finite discrete pairs over each atom's q_s/p_s -
   lam.  Rational inputs run in integers: with q_s/p_s - lam = n_s/d_s,
-  p_s = w_s/V and L = lcm(d_s), order i is the single Fraction
-  sum_s w_s n_s^i (L^i / d_s^i) / (V L^i), so each atom pays integer
-  products and one exact division per order instead of Fraction
-  arithmetic, and the value equals the per-atom Fraction sum.  A pair
-  whose estimated work passes a budget is refused with InputError
+  p_s = w_s/V and L = lcm(d_s), every atom has the integer base
+  e_s = n_s (L / d_s), atoms sharing a base are merged by summing their
+  weights, and order i is the single Fraction sum_e W_e e^i / (V L^i).
+  Each distinct base pays one integer product per order and no atom
+  pays a division, and the value equals the per-atom Fraction sum.  A
+  pair whose estimated work passes a budget is refused with InputError
   before any power is formed;
 * one closed form for affine exponential families: order i is the
   binomial transform of the moments M_j = E_p[(q/p)^j], log-normalizer
@@ -31,6 +32,7 @@ whose composition count C(i + C, C) for C components passes a budget of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,6 +49,7 @@ from ._num import (
     is_exact,
     multinomial,
     safe_exp,
+    to_floats,
 )
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .families import AefFamily, DiscreteDistribution, MixtureSpec, PairSpec
@@ -129,23 +132,22 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
     """The rational case of _discrete_values, in integers.
 
     With b_s = n_s / d_s, p_s = w_s / V (V the lcm of the p denominators)
-    and L the lcm of the d_s,
+    and L the lcm of the d_s, atom s has the integer base e_s = n_s L / d_s
+    and
 
-        chi_i = sum_s w_s n_s^i (L^i / d_s^i) / (V L^i),
+        chi_i = sum_e W_e e^i / (V L^i),
 
-    each L^i / d_s^i an exact division.  Every atom carries only its own
-    n_s^i and d_s^i, L^i is formed once per order, and each order is one
-    Fraction, whose normalisation makes it equal, type included, to the
-    per-atom Fraction sum.
+    W_e the summed w_s of the atoms whose base is e (a zero base drops
+    out, since every order is at least 1).  Each order multiplies the
+    running W_e e^i by e once per distinct base and is one Fraction,
+    whose normalisation makes it equal, type included, to the per-atom
+    Fraction sum.
     """
     stray = [Fraction(qs) for ps, qs in zip(p, q) if ps == 0 and qs != 0]
     atoms = [(Fraction(ps), Fraction(qs) / Fraction(ps) - lam)
              for ps, qs in zip(p, q) if ps != 0]
     scale = math.lcm(*(ps.denominator for ps, _ in atoms))
-    weights = [ps.numerator * (scale // ps.denominator) for ps, _ in atoms]
-    nums = [abs(b.numerator) if absolute else b.numerator for _, b in atoms]
-    dens = [b.denominator for _, b in atoms]
-    common = math.lcm(*dens)
+    common = math.lcm(*(b.denominator for _, b in atoms))
     top = max(orders, default=1)
     work = len(atoms) * top * (scale.bit_length() + top * common.bit_length())
     if work > _EXACT_BUDGET:
@@ -156,20 +158,25 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
             f"{_EXACT_BUDGET:.3g}; lower the order or the atoms, or give "
             f"float probabilities"
         )
-    num_pows, den_pows, common_pow, reached = nums, dens, common, 1
+    merged = {}
+    for ps, b in atoms:
+        base = (abs(b.numerator) if absolute else b.numerator) \
+            * (common // b.denominator)
+        if base:
+            merged[base] = merged.get(base, 0) \
+                + ps.numerator * (scale // ps.denominator)
+    bases = list(merged)
+    pows, den, reached = list(merged.values()), scale, 0
     values = []
     for i in orders:
         if stray and i >= 2:
             values.append(math.inf)
             continue
         while reached < i:
-            num_pows = [a * n for a, n in zip(num_pows, nums)]
-            den_pows = [a * d for a, d in zip(den_pows, dens)]
-            common_pow *= common
+            pows = [a * e for a, e in zip(pows, bases)]
+            den *= common
             reached += 1
-        total = sum(w * a * (common_pow // b)
-                    for w, a, b in zip(weights, num_pows, den_pows))
-        value = Fraction(total, scale * common_pow)
+        value = Fraction(sum(pows), den)
         values.append(value + sum(stray) if i == 1 else value)
     return values
 
@@ -280,11 +287,19 @@ def _moments(fam: AefFamily, tp, comps):
         yield top, math.fsum(math.exp(l - top) for l in logs)
 
 
+@functools.cache
+def _log_comb_row(i: int) -> tuple:
+    """log C(i, j) for j = i, i - 1, ..., 0, shared by every pair."""
+    return tuple(math.log(math.comb(i, j)) for j in range(i, -1, -1))
+
+
 def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     """Chi terms of p against q, a member or a MixtureSpec of fam.
 
     Per order: the vertex check, the exact (1 - lam)^i when p = q, the
-    composition budget, then moments up to i, each formed once.
+    composition budget, then moments up to i, each formed once.  The
+    binomial row comes from a cache shared by every pair and the signs
+    (-1)^(i - j) from parity.
     """
     orders = [check_int(i, 1, "chi order") for i in orders]
     lam = _check_lam(lam)
@@ -294,7 +309,7 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     sign = -1 if lam > 0 else 1
     log_abs_lam = math.log(abs(check_float(lam, "anchor lam")))
     stream = _moments(fam, tp, comps)
-    moments, values = [], []
+    tops, sums, values = [], [], []
     for i in orders:
         _check_vertices(i, fam, tp, comps, mixture)
         if not mixture and tp == comps[0][1]:
@@ -308,11 +323,15 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
                 f"budget of {_COMPOSITION_BUDGET}; lower the order or the "
                 f"components"
             )
-        moments += itertools.islice(stream, i + 1 - len(moments))
-        js = range(i, -1, -1)
-        factors = [sign ** (i - j) * moments[j][1] for j in js]
-        logs = [math.log(math.comb(i, j)) + (i - j) * log_abs_lam
-                + moments[j][0] for j in js]
+        for top, scaled in itertools.islice(stream, i + 1 - len(tops)):
+            tops.append(top)
+            sums.append(scaled)
+        # entry n of each list belongs to j = i - n
+        factors = sums[i::-1]
+        if sign < 0:
+            factors[1::2] = [-s for s in factors[1::2]]
+        logs = [c + n * log_abs_lam + t
+                for n, (c, t) in enumerate(zip(_log_comb_row(i), tops[i::-1]))]
         values.append(_signed_logsum(factors, logs, f"order-{i} chi term"))
     return values
 
@@ -483,7 +502,9 @@ class ChiBasis:
 
     The basis is the expensive object: generators reuse it freely, so a
     batch over twenty generators costs one construction.  Values may be
-    exact Fractions (rational discrete pairs) or floats.
+    exact Fractions (rational discrete pairs) or floats, and `floats`
+    converts them once for every generator that reads them.  Orders are
+    integers of at least 2.
     """
 
     lam: Number
@@ -497,6 +518,8 @@ class ChiBasis:
             raise InputError("a basis needs at least one order")
         if len(self.orders) != len(self.values):
             raise InputError("orders and values must align")
+        for i in self.orders:
+            check_int(i, 2, "basis order")
         if tuple(sorted(set(self.orders))) != tuple(self.orders):
             raise InputError("orders must be strictly increasing")
 
@@ -515,7 +538,17 @@ class ChiBasis:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.values)
+        return all(self.exact_flags)
+
+    @functools.cached_property
+    def exact_flags(self) -> list:
+        """is_exact of each value."""
+        return list(map(is_exact, self.values))
+
+    @functools.cached_property
+    def floats(self) -> list:
+        """The values as floats, a signed infinity past float range."""
+        return to_floats(self.values)
 
     def to_csv(self, fh, rational: bool = False) -> None:
         """Write `order,chi_pm` rows; rational=True keeps Fractions exact."""
@@ -540,7 +573,7 @@ class ChiBasis:
                 orders.append(int(text_i))
                 values.append(
                     Fraction(text_v) if "/" in text_v else float(text_v))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad basis CSV row {line!r}: {exc}") from exc
         return cls(lam=lam, orders=tuple(orders), values=tuple(values),
                    method="csv", source="csv")

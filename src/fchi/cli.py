@@ -134,6 +134,8 @@ def _read_basis(path: str, need_order: int) -> ChiBasis:
             basis = ChiBasis.from_csv(fh)
     except OSError as exc:
         raise InputError(f"cannot read basis {path!r}: {exc}") from exc
+    # the expansion reads a coefficient table up to the top order
+    _check_order(basis.max_order, "basis file order")
     if basis.max_order < need_order:
         raise InputError(
             f"basis file stops at order {basis.max_order}, "

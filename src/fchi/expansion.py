@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from ._num import (check_int, check_real, format_number, format_real,
-                   is_exact, log_factorial, safe_exp, to_float, to_floats)
+from ._num import (MAX_EXP_ARG, check_int, check_real, format_number,
+                   format_real, is_exact, log_factorial, log_factorials,
+                   safe_exp, to_float)
 from .chi import ChiBasis, compute_basis
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .families import PairSpec, ratio_bounds_discrete
@@ -106,29 +107,44 @@ def _require_anchor_one(basis: ChiBasis) -> None:
         )
 
 
+def _terms(gen: Generator, basis: ChiBasis) -> tuple:
+    """(terms, floats): coeff(i) * chi_i at the basis orders, and their floats.
+
+    One pass over the generator's coefficient table and the basis.  A
+    vanishing coefficient kills its term even against an infinite chi
+    value; a rational coefficient times a rational value is a Fraction;
+    anything else is float(c_i) * float(chi_i).
+    """
+    _require_anchor_one(basis)
+    exact, cfs, zeros = gen.coeff_table(basis.max_order)
+    orders, values = basis.orders, basis.values
+    if len(orders) != orders[-1] - 1:
+        # a basis with gaps (read from a file) picks its orders' entries
+        exact, cfs, zeros = ([col[i - 2] for i in orders]
+                             for col in (exact, cfs, zeros))
+    flags = basis.exact_flags
+    if not any(flags):
+        floats = [0.0 if z else c * v for z, c, v in zip(zeros, cfs, values)]
+        return floats, floats
+    terms, floats = [], []
+    for x, c, z, v, vf, v_exact in zip(exact, cfs, zeros, values,
+                                       basis.floats, flags):
+        if z:
+            terms.append(0 if v_exact else 0.0)
+            floats.append(0.0)
+        elif x is not None and v_exact:
+            term = x * v
+            terms.append(term)
+            floats.append(to_float(term))
+        else:
+            terms.append(c * vf)
+            floats.append(c * vf)
+    return terms, floats
+
+
 def expansion_terms(gen: Generator, basis: ChiBasis) -> list:
     """Per-order contributions coeff(i) * chi_i for the basis orders."""
-    _require_anchor_one(basis)
-    # basis orders are integers >= 2, so the coefficient stream is read
-    # without Generator.coeff's per-call argument check
-    coeff = gen.coeff_fn
-    out = []
-    for i, v in zip(basis.orders, basis.values):
-        c = coeff(i)
-        if c == 0:
-            # a vanishing coefficient kills the term even against an
-            # infinite chi value
-            out.append(0 if is_exact(v) else 0.0)
-        elif is_exact(c) and is_exact(v):
-            # int * int is the one product that would not be a Fraction
-            out.append(c * v if Fraction in (type(c), type(v))
-                       else Fraction(c) * v)
-        else:
-            try:
-                out.append(float(c) * float(v))
-            except OverflowError:
-                out.append(to_float(c) * to_float(v))
-    return out
+    return _terms(gen, basis)[0]
 
 
 def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
@@ -138,9 +154,8 @@ def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
     and every term are rational; otherwise a float running sum of the
     terms in order.
     """
-    terms = expansion_terms(gen, basis)
-    floats = to_floats(terms)
-    if is_exact(gen.f_at_one) and all(is_exact(t) for t in terms):
+    terms, floats = _terms(gen, basis)
+    if is_exact(gen.f_at_one) and all(map(is_exact, terms)):
         start, steps = Fraction(gen.f_at_one), terms
     else:
         start, steps = to_float(gen.f_at_one), floats
@@ -190,25 +205,23 @@ def _remainder_bounds(gen: Generator, orders: Sequence[int],
     """remainder_bound with the (M - m)^(k+1) envelope at each order.
 
     The orders must be integers >= 1; RatioBounds guarantees 0 <= m <= 1
-    <= M.  The envelope's log is taken once, so a whole report's caps
-    cost one derivative sup each.
+    <= M.  The envelope's log is taken once, and one deriv_sups call
+    serves a whole report's caps.
     """
     m = float(bounds.m)
     big = to_float(bounds.M)
-    sup_fn = gen.deriv_sup_fn
     width = big - m
     log_width = math.log(width) if 0.0 < width < math.inf else None
+    log_fact = log_factorials(orders[-1] + 2)
     caps = []
-    for k in orders:
-        sup = sup_fn(k, m, big)
+    for k, sup in zip(orders, gen.deriv_sups_fn(orders, m, big)):
         if sup == 0.0 or width == 0.0:
             caps.append(0.0)
         elif log_width is None or sup == math.inf:
             caps.append(math.inf)
         else:
-            caps.append(safe_exp(
-                math.log(sup) - log_factorial(k + 1) + (k + 1) * log_width
-            ))
+            cap = math.log(sup) - log_fact[k + 1] + (k + 1) * log_width
+            caps.append(math.inf if cap > MAX_EXP_ARG else math.exp(cap))
     return tuple(caps)
 
 
@@ -258,6 +271,16 @@ class ExpansionReport:
             if self.abs_errors is not None:
                 row.append(format_number(self.abs_errors[idx], rational))
             fh.write(",".join(row) + "\n")
+
+
+def _rises(mags) -> bool:
+    """True when some _DIVERGE_RUN consecutive steps all increase."""
+    rising = 0
+    for prev, cur in zip(mags, mags[1:]):
+        rising = rising + 1 if cur > prev else 0
+        if rising >= _DIVERGE_RUN:
+            return True
+    return False
 
 
 def _failure_report(gen: Generator, exc: Exception) -> ExpansionReport:
@@ -311,35 +334,28 @@ def converge(gen: Generator, source, max_order: int = 20, *,
     settled = None
     note = ""
 
-    bad = next((idx for idx, g in enumerate(mags) if not math.isfinite(g)), None)
-    if bad is not None:
+    if not all(map(math.isfinite, mags)):
+        bad = next(i for i, g in zip(orders, mags) if not math.isfinite(g))
         verdict = "diverging"
-        note = f"order-{orders[bad]} term is non-finite"
+        note = f"order-{bad} term is non-finite"
+    elif _rises(mags) and mags[-1] > mags[0]:
+        verdict = "diverging"
+        note = (
+            f"term magnitudes rose over {_DIVERGE_RUN} consecutive "
+            f"orders and ended above the order-{orders[0]} magnitude"
+        )
     else:
-        rising = 0
-        has_run = False
-        for j in range(1, len(mags)):
-            rising = rising + 1 if mags[j] > mags[j - 1] else 0
-            if rising >= _DIVERGE_RUN:
-                has_run = True
-        if has_run and mags[-1] > mags[0]:
-            verdict = "diverging"
-            note = (
-                f"term magnitudes rose over {_DIVERGE_RUN} consecutive "
-                f"orders and ended above the order-{orders[0]} magnitude"
-            )
-        else:
-            streak = 0
-            sizes = to_floats(partials)
-            for idx, g in enumerate(mags):
-                if g < tol * max(1.0, abs(sizes[idx])):
-                    streak += 1
-                    if streak >= _SETTLE_RUN and settled is None:
-                        settled = orders[idx]
-                else:
-                    streak = 0
-            if settled is not None:
-                verdict = "converging"
+        streak = 0
+        for i, g, s in zip(orders, mags, partials):
+            # tol * max(1, |s|) >= tol, so a term below tol needs no float
+            # of its partial sum
+            if g < tol or g < tol * max(1.0, abs(to_float(s))):
+                streak += 1
+                if streak >= _SETTLE_RUN:
+                    verdict, settled = "converging", i
+                    break
+            else:
+                streak = 0
 
     rbounds = None
     if bounds is not None:

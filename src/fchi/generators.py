@@ -11,7 +11,9 @@ Coefficients are exact `fractions.Fraction` values wherever the math is
 rational: kl, rkl, jeffreys, js, harmonic, polynomial, and alpha with
 (1+alpha)/2 an integer.  The exponential generator's e/i! stays float.
 Derivative sups are computed in log space (lgamma), never through integer
-factorial products, and +inf encodes "unbounded".
+factorial products, and +inf encodes "unbounded".  Each generator serves
+both in bulk: a coefficient table per top order and the sups of many
+orders from one call.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from ._num import (MAX_EXP_ARG, check_float, check_int, check_real,
-                   exact_or_fsum, log_factorial, safe_exp)
+                   exact_or_fsum, is_exact, log_factorial, log_factorials,
+                   safe_exp, to_float)
 from .errors import InputError
 
 __all__ = [
     "Generator",
+    "CoeffTable",
     "generalized_binomial",
     "kl",
     "reverse_kl",
@@ -65,6 +69,19 @@ def generalized_binomial(gamma: Number, i: int) -> Number:
     return out
 
 
+class CoeffTable(NamedTuple):
+    """Coefficients c_2..c_top of one generator; entry i - 2 is order i.
+
+    `exact` holds c_i as a Fraction where it is rational and None where it
+    is a float, `floats` holds float(c_i) (a signed infinity past float
+    range) and `zeros` holds c_i == 0.
+    """
+
+    exact: list
+    floats: list
+    zeros: list
+
+
 @dataclass(frozen=True)
 class Generator:
     """Immutable generator record.
@@ -72,6 +89,13 @@ class Generator:
     `f_at_one` and `fprime_at_one` are f(1) and f'(1); the linear Taylor
     term integrates to zero against probability densities, so expansions
     never use f'(1), but conjugation does.
+
+    `coeff_fn(i)` is c_i for an order i >= 2, and `deriv_sups_fn(orders,
+    m, M)` lists sup |f^(k+1)| over [m, M] for each order k >= 1 of
+    orders, each by the same float operations as a one-order call.  The
+    expansion loops read both in bulk: `coeff_table(top)` is built once
+    per top order and kept, and `deriv_sups` serves a report's caps in one
+    call.
     """
 
     name: str
@@ -79,11 +103,26 @@ class Generator:
     fprime_at_one: Number
     coeff_fn: Callable[[int], Number] = field(repr=False)
     eval_fn: Callable[[float], float] = field(repr=False)
-    deriv_sup_fn: Callable[[int, float, float], float] = field(repr=False)
+    deriv_sups_fn: Callable[[Sequence[int], float, float], list] = \
+        field(repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def coeff(self, i: int) -> Number:
         """Taylor coefficient c_i = f^(i)(1)/i! for i >= 2."""
         return self.coeff_fn(check_int(i, 2, "coefficient order"))
+
+    def coeff_table(self, top: int) -> CoeffTable:
+        """The coefficients of orders 2..top as a CoeffTable, built once."""
+        table = self._tables.get(top)
+        if table is None:
+            coeffs = [self.coeff_fn(i)
+                      for i in range(2, check_int(top, 2, "top order") + 1)]
+            table = self._tables[top] = CoeffTable(
+                [Fraction(c) if is_exact(c) else None for c in coeffs],
+                list(map(to_float, coeffs)),
+                [c == 0 for c in coeffs])
+        return table
 
     def eval(self, u: Number) -> float:
         """f(u) for u > 0; u = 0 returns the limit f(0+), possibly +inf."""
@@ -91,24 +130,34 @@ class Generator:
             raise ValueError(f"generator argument must be >= 0, got {u!r}")
         return self.eval_fn(u)
 
-    def deriv_sup(self, k: int, m: float, M: float) -> float:
-        """sup over u in [m, M] of |f^(k+1)(u)|; +inf means unbounded.
+    def deriv_sups(self, orders: Sequence[int], m: float, M: float) -> list:
+        """sup over u in [m, M] of |f^(k+1)(u)| for each k in orders.
 
-        [m, M] is a density-ratio interval, so 0 <= m <= 1 <= M is
-        required.  Each catalog derivative is monotone on (0, inf), which
-        makes the sup an endpoint evaluation.
+        +inf means unbounded.  [m, M] is a density-ratio interval, so
+        0 <= m <= 1 <= M is required.  Each catalog derivative is
+        monotone on (0, inf), which makes the sup an endpoint evaluation.
         """
-        check_int(k, 1, "deriv_sup order")
+        orders = [check_int(k, 1, "deriv_sup order") for k in orders]
         if not (0 <= m <= 1 <= M):
             raise ValueError(f"need 0 <= m <= 1 <= M, got m={m!r}, M={M!r}")
-        return self.deriv_sup_fn(k, m, M)
+        return self.deriv_sups_fn(orders, m, M)
+
+    def deriv_sup(self, k: int, m: float, M: float) -> float:
+        """deriv_sups at the one order k."""
+        return self.deriv_sups((k,), m, M)[0]
 
 
-def _neg_power_sup(k_log_coeff: float, power: int, m: float) -> float:
-    """sup of exp(k_log_coeff) * u^(-power) on [m, M], attained at u = m."""
+def _neg_power_sups(orders, lag: int, m: float) -> list:
+    """sup over [m, M] of (k - lag)! u^-(k + 1 - lag) at each order k.
+
+    Each power of u decreases, so the sup sits at u = m.
+    """
     if m == 0.0:
-        return math.inf
-    return safe_exp(k_log_coeff - power * math.log(m))
+        return [math.inf] * len(orders)
+    log_m = math.log(m)
+    log_fact = log_factorials(max(orders, default=0) + 1)
+    return [safe_exp(log_fact[k - lag] - (k + 1 - lag) * log_m)
+            for k in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +173,15 @@ def kl() -> Generator:
             return math.inf
         return -math.log(u)
 
-    def sup(k, m, M):
+    def sups(orders, m, M):
         # |f^(k+1)(u)| = k! u^-(k+1), decreasing
-        return _neg_power_sup(log_factorial(k), k + 1, m)
+        return _neg_power_sups(orders, 0, m)
 
     @functools.lru_cache(maxsize=None)
     def coeff(i):
         return Fraction((-1) ** i, i)
 
-    return Generator("kl", 0, -1, coeff, ev, sup)
+    return Generator("kl", 0, -1, coeff, ev, sups)
 
 
 @functools.cache
@@ -144,15 +193,15 @@ def reverse_kl() -> Generator:
             return 0.0
         return u * math.log(u)
 
-    def sup(k, m, M):
+    def sups(orders, m, M):
         # |f^(k+1)(u)| = (k-1)! u^-k
-        return _neg_power_sup(log_factorial(k - 1), k, m)
+        return _neg_power_sups(orders, 1, m)
 
     @functools.lru_cache(maxsize=None)
     def coeff(i):
         return Fraction((-1) ** i, i * (i - 1))
 
-    return Generator("rkl", 0, 1, coeff, ev, sup)
+    return Generator("rkl", 0, 1, coeff, ev, sups)
 
 
 @functools.cache
@@ -164,19 +213,20 @@ def jeffreys() -> Generator:
             return math.inf
         return (u - 1) * math.log(u)
 
-    def sup(k, m, M):
+    def sups(orders, m, M):
         # |f^(k+1)(u)| = (k-1)! (u+k) / u^(k+1), decreasing
         if m == 0.0:
-            return math.inf
-        return safe_exp(
-            log_factorial(k - 1) + math.log(m + k) - (k + 1) * math.log(m)
-        )
+            return [math.inf] * len(orders)
+        log_m = math.log(m)
+        log_fact = log_factorials(max(orders, default=0))
+        return [safe_exp(log_fact[k - 1] + math.log(m + k) - (k + 1) * log_m)
+                for k in orders]
 
     @functools.lru_cache(maxsize=None)
     def coeff(i):
         return Fraction((-1) ** i, i - 1)
 
-    return Generator("jeffreys", 0, 0, coeff, ev, sup)
+    return Generator("jeffreys", 0, 0, coeff, ev, sups)
 
 
 @functools.cache
@@ -193,21 +243,25 @@ def jensen_shannon() -> Generator:
             return math.log(2.0)
         return -(u + 1) * math.log(0.5 * (1.0 + u)) + u * math.log(u)
 
-    def sup(k, m, M):
+    def sups(orders, m, M):
         # |f^(k+1)(u)| = (k-1)! (u^-k - (u+1)^-k), decreasing
         if m == 0.0:
-            return math.inf
-        a = safe_exp(-k * math.log(m))
-        if math.isinf(a):
-            return math.inf
-        return safe_exp(log_factorial(k - 1)) * (a - (m + 1.0) ** (-k))
+            return [math.inf] * len(orders)
+        log_m = math.log(m)
+        log_fact = log_factorials(max(orders, default=0))
+        out = []
+        for k in orders:
+            a = safe_exp(-k * log_m)
+            out.append(math.inf if math.isinf(a) else
+                       safe_exp(log_fact[k - 1]) * (a - (m + 1.0) ** (-k)))
+        return out
 
     @functools.lru_cache(maxsize=None)
     def coeff(i):
         half_pow = 2 ** (i - 1)
         return Fraction((-1) ** i * (half_pow - 1), half_pow * i * (i - 1))
 
-    return Generator("js", 0, 0, coeff, ev, sup)
+    return Generator("js", 0, 0, coeff, ev, sups)
 
 
 @functools.cache
@@ -221,17 +275,18 @@ def harmonic() -> Generator:
     def ev(u):
         return 2.0 * u / (u + 1.0)
 
-    def sup(k, m, M):
+    def sups(orders, m, M):
         # |f^(k+1)(u)| = 2 (k+1)! / (u+1)^(k+2), decreasing, finite at m=0
-        return safe_exp(
-            math.log(2.0) + log_factorial(k + 1) - (k + 2) * math.log1p(m)
-        )
+        log_2, log1p_m = math.log(2.0), math.log1p(m)
+        log_fact = log_factorials(max(orders, default=0) + 2)
+        return [safe_exp(log_2 + log_fact[k + 1] - (k + 2) * log1p_m)
+                for k in orders]
 
     @functools.lru_cache(maxsize=None)
     def coeff(i):
         return Fraction((-1) ** (i + 1), 2**i)
 
-    return Generator("harmonic", 1, Fraction(1, 2), coeff, ev, sup)
+    return Generator("harmonic", 1, Fraction(1, 2), coeff, ev, sups)
 
 
 @functools.cache
@@ -249,7 +304,8 @@ def exponential() -> Generator:
             return math.e / float(math.factorial(i))
         return safe_exp(1.0 - log_factorial(i))
 
-    return Generator("exp", 0, 0, coeff, ev, lambda k, m, M: safe_exp(M))
+    return Generator("exp", 0, 0, coeff, ev,
+                     lambda orders, m, M: [safe_exp(M)] * len(orders))
 
 
 def _alpha_exact(a: Fraction) -> bool:
@@ -294,7 +350,6 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
             return math.copysign(math.inf, -lead)
         return -lead * math.expm1(expo)
 
-    @functools.lru_cache(maxsize=None)
     def sup(k, m, M):
         mag = abs(lead) * abs(float(generalized_binomial(gamma_f, k + 1)))
         mag *= float(math.factorial(k + 1)) if k + 1 <= 170 else safe_exp(
@@ -313,7 +368,21 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
 
         return max(piece(m), piece(M))
 
-    gen = Generator(name, 0, fprime, coeff, ev, sup)
+    # memoized per ratio interval: each sup costs an O(k) binomial, and a
+    # pair's reports ask for the same orders again; one dict per interval
+    # maps each order asked for to its sup
+    @functools.lru_cache(maxsize=None)
+    def sups_on(m, M):
+        return {}
+
+    def sups(orders, m, M):
+        known = sups_on(m, M)
+        for k in orders:
+            if k not in known:
+                known[k] = sup(k, m, M)
+        return [known[k] for k in orders]
+
+    gen = Generator(name, 0, fprime, coeff, ev, sups)
     _alpha_of[gen] = key
     return gen
 
@@ -366,7 +435,8 @@ def _poly_cached(coeffs: tuple) -> Generator:
 
     f1 = sum(a, start=Fraction(0))
     fp1 = sum((j * a[j] for j in range(1, d + 1)), start=Fraction(0))
-    return Generator(name, f1, fp1, coeff, ev, sup)
+    return Generator(name, f1, fp1, coeff, ev,
+                     lambda orders, m, M: [sup(k, m, M) for k in orders])
 
 
 def polynomial_generator(coeffs: Sequence[Number]) -> Generator:
@@ -506,5 +576,5 @@ def conjugate_generator(gen: Generator, k_max: int = 64) -> Generator:
         gen.f_at_one - gen.fprime_at_one,
         coeff,
         ev,
-        lambda k, m, M: math.inf,
+        lambda orders, m, M: [math.inf] * len(orders),
     )

@@ -634,6 +634,10 @@ class TestChiBasis:
             ChiBasis(lam=1, orders=(3, 2), values=(1.0, 2.0))
         with pytest.raises(InputError):
             ChiBasis(lam=1, orders=(2, 2), values=(1.0, 1.0))
+        for orders in ((1, 2), (0, 2), (-3, 2)):
+            with pytest.raises(InputError, match="basis order must be an "
+                               "integer of at least 2"):
+                ChiBasis(lam=1, orders=orders, values=(0.5, 0.25))
 
     def test_float_csv_round_trip_is_bit_exact(self):
         pair = PairSpec(kind="discrete", p=bernoulli(0.9), q=bernoulli(0.3))
@@ -665,6 +669,8 @@ class TestChiBasis:
             ChiBasis.from_csv(io.StringIO("order,chi_pm\ntwo,1.0\n"))
         with pytest.raises(InputError, match="at least one order"):
             ChiBasis.from_csv(io.StringIO("order,chi_pm\n"))
+        with pytest.raises(InputError, match="at least 2, got 1"):
+            ChiBasis.from_csv(io.StringIO("order,chi_pm\n1,0\n2,0.5\n"))
 
     def test_compute_basis_counts_builds(self):
         pair = PairSpec(kind="discrete", p=BERN_P, q=BERN_Q)

@@ -29,6 +29,7 @@ from fchi.families import (
     PairSpec,
     bernoulli,
     gaussian_iso,
+    load_pair_spec,
     poisson,
     trunc_exp,
 )
@@ -629,3 +630,23 @@ class TestAlphaOdd:
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(InputError):
             alpha_odd_expansion(alpha, WORKED)
+
+
+# A close two-component gaussian mixture at k = 16.  Its closed-form chi
+# values from order 5 on are float noise near 1e-14, and kl settles at
+# order 6 on 2.0094950e-07 where quadrature gives 2.0094913e-07 +- 1.1e-15:
+# 1.8e-6 relative, past the 1e-6 an uncapped converging value may miss by.
+# Chi values that carry their error will flip this.
+@pytest.mark.xfail(strict=True, reason="float noise in closed-form chi "
+                   "values reads as converged (chi values carry no error)")
+def test_kl_on_a_close_gaussian_mixture_converges_to_quadrature():
+    pair = load_pair_spec({
+        "kind": "mixture", "family": "gaussian_iso",
+        "theta_p": [0.19618055501495046],
+        "weights": [0.5657532509378514, 0.4342467490621485],
+        "thetas": [[0.17240964652819313], [0.2262630727916855]]})
+    report = batch_evaluate(pair, [kl()], 16)["kl"]
+    value, err_est = reference.quadrature_f_divergence(kl(), pair)
+    assert report.remainder_bounds[-1] == math.inf
+    if report.verdict == "converging":
+        assert abs(report.value - value) <= err_est + 1e-6 * abs(value)

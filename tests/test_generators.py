@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fchi import InputError
+from fchi._num import MAX_EXP_ARG
+from fchi.chi import compute_basis
+from fchi.expansion import RatioBounds, converge, remainder_bound
+from fchi.families import PairSpec, bernoulli
 from fchi.generators import (
     CATALOG,
     alpha_generator,
@@ -354,3 +360,128 @@ def test_catalog_coeff_rejects_bad_arguments():
         catalog_coeff("kl", 2)
     with pytest.raises(ValueError):
         catalog_coeff(kl(), 1)
+
+
+# ---------------------------------------------------------------------------
+# vectorised derivative sups against the one-order formulas they replaced
+
+
+def _lf(n):
+    return math.lgamma(n + 1)
+
+
+def _exp(x):
+    return math.inf if x > MAX_EXP_ARG else math.exp(x)
+
+
+def _alpha_sup(alpha, k, m, M):
+    a_f = float(alpha)
+    gamma_f = 0.5 * (1.0 + a_f)
+    lead = 4.0 / (1.0 - a_f * a_f)
+    mag = abs(lead) * abs(float(generalized_binomial(gamma_f, k + 1)))
+    mag *= float(math.factorial(k + 1)) if k + 1 <= 170 else _exp(_lf(k + 1))
+    if mag == 0.0:
+        return 0.0
+    expo = gamma_f - (k + 1)
+
+    def piece(u):
+        if u == 0.0:
+            return math.inf if expo < 0 else (mag if expo == 0 else 0.0)
+        if math.isinf(u):
+            return math.inf if expo > 0 else (mag if expo == 0 else 0.0)
+        return _exp(math.log(mag) + expo * math.log(u))
+
+    return max(piece(m), piece(M))
+
+
+def _poly_sup(a, k, m, M):
+    d = len(a) - 1
+    if k + 1 > d:
+        return 0.0
+    total = 0.0
+    for j in range(k + 1, d + 1):
+        if a[j] == 0:
+            continue
+        ff = 1
+        for t in range(j, j - k - 1, -1):
+            ff *= t
+        total += abs(float(a[j])) * ff * M ** (j - k - 1)
+    return total
+
+
+def _js_sup(k, m, M):
+    if m == 0.0:
+        return math.inf
+    a = _exp(-k * math.log(m))
+    if math.isinf(a):
+        return math.inf
+    return _exp(_lf(k - 1)) * (a - (m + 1.0) ** (-k))
+
+
+POLY = (Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 2), Fraction(1))
+
+# each generator with a copy of the scalar sup formula it had before
+# deriv_sups served many orders from one call
+SCALAR_SUPS = [
+    (kl(), lambda k, m, M: math.inf if m == 0.0
+     else _exp(_lf(k) - (k + 1) * math.log(m))),
+    (reverse_kl(), lambda k, m, M: math.inf if m == 0.0
+     else _exp(_lf(k - 1) - k * math.log(m))),
+    (jeffreys(), lambda k, m, M: math.inf if m == 0.0 else _exp(
+        _lf(k - 1) + math.log(m + k) - (k + 1) * math.log(m))),
+    (jensen_shannon(), _js_sup),
+    (harmonic(), lambda k, m, M: _exp(
+        math.log(2.0) + _lf(k + 1) - (k + 2) * math.log1p(m))),
+    (exponential(), lambda k, m, M: _exp(M)),
+    (polynomial_generator(POLY), lambda k, m, M: _poly_sup(POLY, k, m, M)),
+    (conjugate_generator(kl(), 64), lambda k, m, M: math.inf),
+] + [
+    (alpha_generator(a), lambda k, m, M, a=a: _alpha_sup(a, k, m, M))
+    for a in (3, 5, Fraction(1, 3), 0.5, 2.5, -3, -0.5)
+]
+
+ratio_lows = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+ratio_highs = st.one_of(st.sampled_from([1.0, math.inf]),
+                        st.floats(1.0, 1e6))
+
+
+@pytest.mark.parametrize("gen, scalar", SCALAR_SUPS,
+                         ids=[g.name for g, _ in SCALAR_SUPS])
+@settings(max_examples=30)
+@given(m=ratio_lows, M=ratio_highs)
+def test_deriv_sups_equal_the_scalar_formula_bit_for_bit(gen, scalar, m, M):
+    orders = range(1, 65)
+    sups = gen.deriv_sups(orders, m, M)
+    for k, sup in zip(orders, sups):
+        assert sup == gen.deriv_sups((k,), m, M)[0] == gen.deriv_sup(k, m, M)
+        assert sup == scalar(k, m, M), k
+    if m == 1.0:
+        assert gen.deriv_sups(orders, 1.0, 1.0) == \
+            [scalar(k, 1.0, 1.0) for k in orders]
+
+
+@pytest.mark.parametrize("gen", [g for g, _ in SCALAR_SUPS],
+                         ids=[g.name for g, _ in SCALAR_SUPS])
+@settings(max_examples=10)
+@given(m=ratio_lows, M=ratio_highs)
+def test_remainder_bound_is_the_report_cap(gen, m, M):
+    pair = PairSpec(kind="discrete", p=bernoulli(Fraction(3, 5)),
+                    q=bernoulli(Fraction(2, 5)))
+    bounds = RatioBounds(m, M)
+    report = converge(gen, compute_basis(pair, 24), bounds=bounds)
+    assert report.remainder_bounds == tuple(
+        remainder_bound(gen, k, bounds) for k in report.orders)
+
+
+@pytest.mark.parametrize("gen", [g for g, _ in SCALAR_SUPS],
+                         ids=[g.name for g, _ in SCALAR_SUPS])
+def test_coeff_table_holds_each_coefficient(gen):
+    table = gen.coeff_table(40)
+    assert gen.coeff_table(40) is table
+    for i in range(2, 41):
+        c = gen.coeff(i)
+        exact, cf, zero = (col[i - 2] for col in table)
+        assert exact == (Fraction(c) if isinstance(c, (int, Fraction))
+                         else None)
+        assert type(cf) is float and cf == float(c)
+        assert zero == (c == 0)

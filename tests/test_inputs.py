@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -154,6 +156,36 @@ def test_cli_keeps_exact_values_past_float_range():
     assert code == 0 and "verdict=" in err
 
 
+# a basis file row below order 2 used to reach the coefficient streams:
+# rkl and jeffreys divided by zero, kl at order 0 too, and jeffreys at
+# order 0 added a term with coefficient -1
+BASIS_ROWS = "2,1/4\n3,1/10\n4,1/20\n5,1/40\n6,1/80\n"
+# stands in argv for the path of a basis file holding a drawn text
+BASIS_IN = "<basis file>"
+
+
+@pytest.mark.parametrize("rows, field", [
+    ("1,1/2\n" + BASIS_ROWS, "basis order must be an integer of at least 2"),
+    ("0,1\n" + BASIS_ROWS, "basis order must be an integer of at least 2"),
+    ("-1,1\n" + BASIS_ROWS, "basis order must be an integer of at least 2"),
+    (BASIS_ROWS + "1000000000,0.5\n", "basis file order 1000000000 exceeds"),
+    ("2,x\n", "bad basis CSV row"),
+    ("2,1/0\n", "bad basis CSV row"),
+])
+@pytest.mark.parametrize("argv", [
+    ("expand", "--generator", "rkl"),
+    ("expand", "--generator", "kl"),
+    ("expand", "--generator", "jeffreys"),
+    ("batch", "--generators", "kl,rkl,jeffreys"),
+])
+def test_cli_refuses_malformed_basis_files(tmp_path, rows, field, argv):
+    path = tmp_path / "basis.csv"
+    path.write_text("order,chi_pm\n" + rows, encoding="utf-8")
+    code, out, err = _cli(*argv, "--basis-in", str(path), "-k", "5")
+    assert (code, out) == (2, "")
+    assert field in err
+
+
 # ---------------------------------------------------------------------------
 # cli.main never raises
 
@@ -223,14 +255,34 @@ def argvs(draw):
                 st.lists(generators, min_size=1, max_size=2)))]
         argv += ["-k", draw(st.sampled_from(["4", "6"]))]
         if draw(st.booleans()):
+            argv += ["--basis-in", BASIS_IN]
+        if draw(st.booleans()):
             argv += ["--tol", draw(numbers)]
     return argv
 
 
+basis_texts = st.sampled_from([
+    "order,chi_pm\n" + BASIS_ROWS,
+    "order,chi_pm\n1,1/2\n" + BASIS_ROWS,
+    "order,chi_pm\n0,1\n" + BASIS_ROWS,
+    "order,chi_pm\n" + BASIS_ROWS + "65,0.5\n",
+    "order,chi_pm\n2,0.5\n6,inf\n",
+    "order,chi_pm\n3,1\n2,1\n",
+    "order,chi_pm\n2,1/0\n",
+    "order,chi_pm\n",
+    "chi\n",
+])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300)
-@given(argvs())
-def test_cli_main_never_raises(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in (0, 2, 3, 4)
+@given(argvs(), basis_texts)
+def test_cli_main_never_raises(argv, basis_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "basis.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(basis_text)
+        argv = [path if a == BASIS_IN else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3, 4)

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 import oracles
-from fchi import families
+from fchi import chi, families
 from fchi._num import safe_exp
 from fchi.chi import (
+    _discrete_values,
     _log_ratio_shift,
     chi_abs_discrete,
     chi_pm,
@@ -428,3 +429,64 @@ def test_exact_discrete_builder_matches_the_per_atom_sum(pq, k, data, lam):
                                     absolute=True))
     assert all(isinstance(v, Fraction) or v == math.inf
                for v in basis.values)
+
+
+# ---------------------------------------------------------------------------
+# the merged-base integer route: atoms that share q_s/p_s share one power
+
+
+@st.composite
+def repeated_ratio_pairs(draw):
+    """Rational pairs on 1-12 atoms whose ratios q_s/p_s come from a pool
+    of at most four, so atoms merge; some atoms may have p_s = 0 < q_s."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.fractions(0, 3, max_denominator=6), min_size=1,
+                         max_size=4))
+    wp = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    wq = [w * draw(st.sampled_from(pool)) for w in wp]
+    if draw(st.integers(0, 3)) == 0:
+        for s in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            wp[s], wq[s] = 0, Fraction(draw(st.integers(1, 30)))
+    assume(any(wp) and any(wq))
+    return tuple(DiscreteDistribution([Fraction(w) / sum(ws) for w in ws])
+                 for ws in (wp, wq))
+
+
+@settings(max_examples=80)
+@given(repeated_ratio_pairs(),
+       st.lists(st.integers(1, 20), min_size=1, max_size=6, unique=True),
+       st.sampled_from([1, Fraction(1, 2), Fraction(3, 2), Fraction(-2, 3),
+                        2]),
+       st.booleans())
+def test_merged_bases_equal_the_per_atom_sum(pq, orders, lam, absolute):
+    p, q = pq
+    orders = sorted(orders)
+    got = _discrete_values(orders, lam, p, q, absolute)
+    assert _typed(got) == _typed(
+        oracles.chi_power_exact(orders, lam, p.probs, q.probs, absolute))
+
+
+def _work_estimate(p, q, lam, top):
+    """The exact route's work estimate: atoms x order x bits of V L^top."""
+    atoms = [(Fraction(ps), Fraction(qs) / Fraction(ps) - lam)
+             for ps, qs in zip(p.probs, q.probs) if ps != 0]
+    scale = math.lcm(*(ps.denominator for ps, _ in atoms))
+    common = math.lcm(*(b.denominator for _, b in atoms))
+    return len(atoms) * top * (scale.bit_length()
+                               + top * common.bit_length())
+
+
+@settings(max_examples=60)
+@given(exact_discrete_pairs(), st.integers(1, 64),
+       st.sampled_from([1, Fraction(1, 2), Fraction(-2, 3)]), st.data())
+def test_exact_budget_refuses_exactly_over_its_estimate(pq, top, lam, data):
+    p, q = pq
+    work = _work_estimate(p, q, Fraction(lam), top)
+    budget = data.draw(st.sampled_from([work - 1, work, work + 1, work // 2,
+                                        2 * work]))
+    with mock.patch.object(chi, "_EXACT_BUDGET", budget):
+        if work > budget:
+            with pytest.raises(InputError, match="exact discrete budget"):
+                _discrete_values([top], lam, p, q)
+        else:
+            _discrete_values([top], lam, p, q)
