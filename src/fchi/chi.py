@@ -503,8 +503,8 @@ class ChiBasis:
     The basis is the expensive object: generators reuse it freely, so a
     batch over twenty generators costs one construction.  Values may be
     exact Fractions (rational discrete pairs) or floats, and `floats`
-    converts them once for every generator that reads them.  Orders are
-    integers of at least 2.
+    converts them once for every generator that reads them.  Orders run
+    2..max_order without a gap.
     """
 
     lam: Number
@@ -518,19 +518,16 @@ class ChiBasis:
             raise InputError("a basis needs at least one order")
         if len(self.orders) != len(self.values):
             raise InputError("orders and values must align")
-        for i in self.orders:
-            check_int(i, 2, "basis order")
-        if tuple(sorted(set(self.orders))) != tuple(self.orders):
-            raise InputError("orders must be strictly increasing")
+        for i, order in enumerate(self.orders, 2):
+            if check_int(order, 2, "basis order") != i:
+                raise InputError(f"basis orders must run 2..n in order "
+                                 f"without a gap; order {i} is missing")
 
     def value(self, i: int):
-        try:
-            return self.values[self.orders.index(i)]
-        except ValueError:
-            raise InputError(
-                f"basis holds orders {self.orders[0]}..{self.orders[-1]}, "
-                f"not {i}"
-            ) from None
+        if i not in range(2, self.max_order + 1):
+            raise InputError(f"basis holds orders 2..{self.max_order}, "
+                             f"not {i}")
+        return self.values[i - 2]
 
     @property
     def max_order(self) -> int:

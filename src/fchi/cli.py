@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -34,7 +35,7 @@ from .expansion import (
     pair_ratio_bounds,
 )
 from .families import load_pair_spec
-from .generators import from_spec
+from .generators import _alpha_of, from_spec
 from .reference import (
     exact_alpha_aef,
     exact_f_divergence_discrete,
@@ -129,19 +130,19 @@ def _load_pair(args):
 
 
 def _read_basis(path: str, need_order: int) -> ChiBasis:
+    """The basis file's orders 2..need_order."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             basis = ChiBasis.from_csv(fh)
     except OSError as exc:
         raise InputError(f"cannot read basis {path!r}: {exc}") from exc
-    # the expansion reads a coefficient table up to the top order
-    _check_order(basis.max_order, "basis file order")
     if basis.max_order < need_order:
         raise InputError(
             f"basis file stops at order {basis.max_order}, "
             f"the requested order is {need_order}"
         )
-    return basis
+    return replace(basis, orders=basis.orders[:need_order - 1],
+                   values=basis.values[:need_order - 1])
 
 
 def _write_basis(path: str, basis: ChiBasis, rational: bool) -> None:
@@ -212,9 +213,9 @@ def _cmd_exact(args) -> int:
     elif pair.kind == "discrete":
         value = exact_f_divergence_discrete(gen, pair.p, pair.q)
         method = "exact-discrete"
-    elif pair.kind == "aef" and args.generator.startswith("alpha:"):
-        alpha = _parse_real(args.generator.split(":", 1)[1])
-        value = exact_alpha_aef(alpha, pair.fam, pair.theta_p, pair.theta_q)
+    elif pair.kind == "aef" and gen in _alpha_of:
+        value = exact_alpha_aef(_alpha_of[gen], pair.fam, pair.theta_p,
+                                pair.theta_q)
         method = "closed-form-alpha"
     else:
         raise InputError(

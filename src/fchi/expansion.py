@@ -16,7 +16,6 @@ bit-exact partial sums at any order.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,19 +109,14 @@ def _require_anchor_one(basis: ChiBasis) -> None:
 def _terms(gen: Generator, basis: ChiBasis) -> tuple:
     """(terms, floats): coeff(i) * chi_i at the basis orders, and their floats.
 
-    One pass over the generator's coefficient table and the basis.  A
-    vanishing coefficient kills its term even against an infinite chi
-    value; a rational coefficient times a rational value is a Fraction;
-    anything else is float(c_i) * float(chi_i).
+    One pass over the basis and the matching prefix of the generator's
+    coefficient table.  A vanishing coefficient kills its term even
+    against an infinite chi value; a rational coefficient times a
+    rational value is a Fraction; anything else is float(c_i) * float(chi_i).
     """
     _require_anchor_one(basis)
     exact, cfs, zeros = gen.coeff_table(basis.max_order)
-    orders, values = basis.orders, basis.values
-    if len(orders) != orders[-1] - 1:
-        # a basis with gaps (read from a file) picks its orders' entries
-        exact, cfs, zeros = ([col[i - 2] for i in orders]
-                             for col in (exact, cfs, zeros))
-    flags = basis.exact_flags
+    values, flags = basis.values, basis.exact_flags
     if not any(flags):
         floats = [0.0 if z else c * v for z, c, v in zip(zeros, cfs, values)]
         return floats, floats
@@ -174,7 +168,7 @@ def chi_expansion(gen: Generator, basis: ChiBasis, k: Optional[int] = None):
     elif check_int(k, 2, "truncation order k") > basis.max_order:
         raise InputError(f"truncation order k={k} passes this basis' top "
                          f"order {basis.max_order}")
-    return _partial_sums(gen, basis)[2][bisect.bisect_right(basis.orders, k)]
+    return _partial_sums(gen, basis)[2][k - 1]
 
 
 def remainder_bound(gen: Generator, k: int, bounds: RatioBounds,

@@ -12,8 +12,8 @@ rational: kl, rkl, jeffreys, js, harmonic, polynomial, and alpha with
 (1+alpha)/2 an integer.  The exponential generator's e/i! stays float.
 Derivative sups are computed in log space (lgamma), never through integer
 factorial products, and +inf encodes "unbounded".  Each generator serves
-both in bulk: a coefficient table per top order and the sups of many
-orders from one call.
+both in bulk: one coefficient table, which conjugation transforms, and
+the sups of many orders from one call.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
 from ._num import (MAX_EXP_ARG, check_float, check_int, check_real,
-                   exact_or_fsum, is_exact, log_factorial, log_factorials,
-                   safe_exp, to_float)
+                   is_exact, log_factorial, log_factorials, safe_exp,
+                   to_floats)
 from .errors import InputError
 
 __all__ = [
@@ -63,18 +63,25 @@ def generalized_binomial(gamma: Number, i: int) -> Number:
     check_int(i, 0, "generalized_binomial order i")
     if isinstance(gamma, int):
         gamma = Fraction(gamma)
-    out: Number = Fraction(1) if isinstance(gamma, Fraction) else 1.0
-    for t in range(i):
-        out = out * (gamma - t) / (t + 1)
+    return _binomials(gamma, i)[i]
+
+
+def _binomials(gamma: Number, top: int) -> list:
+    """[C(gamma, 0), ..., C(gamma, top)] from one falling-factorial pass."""
+    out = [Fraction(1) if isinstance(gamma, Fraction) else 1.0]
+    for t in range(top):
+        out.append(out[t] * (gamma - t) / (t + 1))
     return out
 
 
 class CoeffTable(NamedTuple):
     """Coefficients c_2..c_top of one generator; entry i - 2 is order i.
 
-    `exact` holds c_i as a Fraction where it is rational and None where it
-    is a float, `floats` holds float(c_i) (a signed infinity past float
-    range) and `zeros` holds c_i == 0.
+    A generator keeps one table, rebuilt only when a higher top order is
+    asked for, so its readers take the prefix they need.  `exact` holds
+    c_i as a Fraction where it is rational and None where it is a float,
+    `floats` holds float(c_i) (a signed infinity past float range) and
+    `zeros` holds c_i == 0.
     """
 
     exact: list
@@ -90,38 +97,51 @@ class Generator:
     term integrates to zero against probability densities, so expansions
     never use f'(1), but conjugation does.
 
-    `coeff_fn(i)` is c_i for an order i >= 2, and `deriv_sups_fn(orders,
-    m, M)` lists sup |f^(k+1)| over [m, M] for each order k >= 1 of
-    orders, each by the same float operations as a one-order call.  The
-    expansion loops read both in bulk: `coeff_table(top)` is built once
-    per top order and kept, and `deriv_sups` serves a report's caps in one
-    call.
+    `coeffs_fn(top)` lists c_2..c_top in one pass (a conjugate, the orders
+    it has up to top), and `deriv_sups_fn(orders, m, M)` lists
+    sup |f^(k+1)| over [m, M] for each order k >= 1 of orders, each by the
+    same float operations as a one-order call.  The generator holds one
+    CoeffTable, which `coeff`, `coeff_table`, conjugation and the expansion
+    loops all read, and `deriv_sups` serves a report's caps in one call.
     """
 
     name: str
     f_at_one: Number
     fprime_at_one: Number
-    coeff_fn: Callable[[int], Number] = field(repr=False)
+    coeffs_fn: Callable[[int], list] = field(repr=False)
     eval_fn: Callable[[float], float] = field(repr=False)
     deriv_sups_fn: Callable[[Sequence[int], float, float], list] = \
         field(repr=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    _table: CoeffTable = field(default=CoeffTable((), (), ()), init=False,
+                               repr=False, compare=False)
 
     def coeff(self, i: int) -> Number:
         """Taylor coefficient c_i = f^(i)(1)/i! for i >= 2."""
-        return self.coeff_fn(check_int(i, 2, "coefficient order"))
+        table = self._table
+        if len(table.floats) < check_int(i, 2, "coefficient order") - 1:
+            table = self.coeff_table(i)
+        c = table.exact[i - 2]
+        return table.floats[i - 2] if c is None else c
 
     def coeff_table(self, top: int) -> CoeffTable:
-        """The coefficients of orders 2..top as a CoeffTable, built once."""
-        table = self._tables.get(top)
-        if table is None:
-            coeffs = [self.coeff_fn(i)
-                      for i in range(2, check_int(top, 2, "top order") + 1)]
-            table = self._tables[top] = CoeffTable(
+        """The CoeffTable, rebuilt first when it stops below order top.
+
+        A rebuild at least doubles the table, so asking for the orders one
+        by one costs a few passes.  ValueError when the generator has no
+        coefficient of order top.
+        """
+        table = self._table
+        have = len(table.floats)
+        if have < check_int(top, 2, "top order") - 1:
+            coeffs = self.coeffs_fn(max(top, 2 * have))
+            if len(coeffs) < top - 1:
+                raise ValueError(f"{self.name} has coefficients up to order "
+                                 f"{len(coeffs) + 1}, asked for {top}")
+            table = CoeffTable(
                 [Fraction(c) if is_exact(c) else None for c in coeffs],
-                list(map(to_float, coeffs)),
+                to_floats(coeffs),
                 [c == 0 for c in coeffs])
+            object.__setattr__(self, "_table", table)
         return table
 
     def eval(self, u: Number) -> float:
@@ -145,6 +165,11 @@ class Generator:
     def deriv_sup(self, k: int, m: float, M: float) -> float:
         """deriv_sups at the one order k."""
         return self.deriv_sups((k,), m, M)[0]
+
+
+def _each(coeff: Callable[[int], Number]) -> Callable[[int], list]:
+    """The coeffs_fn that lists the closed form coeff(i) at i = 2..top."""
+    return lambda top: [coeff(i) for i in range(2, top + 1)]
 
 
 def _neg_power_sups(orders, lag: int, m: float) -> list:
@@ -177,11 +202,8 @@ def kl() -> Generator:
         # |f^(k+1)(u)| = k! u^-(k+1), decreasing
         return _neg_power_sups(orders, 0, m)
 
-    @functools.lru_cache(maxsize=None)
-    def coeff(i):
-        return Fraction((-1) ** i, i)
-
-    return Generator("kl", 0, -1, coeff, ev, sups)
+    return Generator("kl", 0, -1, _each(lambda i: Fraction((-1) ** i, i)),
+                     ev, sups)
 
 
 @functools.cache
@@ -197,11 +219,9 @@ def reverse_kl() -> Generator:
         # |f^(k+1)(u)| = (k-1)! u^-k
         return _neg_power_sups(orders, 1, m)
 
-    @functools.lru_cache(maxsize=None)
-    def coeff(i):
-        return Fraction((-1) ** i, i * (i - 1))
-
-    return Generator("rkl", 0, 1, coeff, ev, sups)
+    return Generator("rkl", 0, 1,
+                     _each(lambda i: Fraction((-1) ** i, i * (i - 1))),
+                     ev, sups)
 
 
 @functools.cache
@@ -222,11 +242,8 @@ def jeffreys() -> Generator:
         return [safe_exp(log_fact[k - 1] + math.log(m + k) - (k + 1) * log_m)
                 for k in orders]
 
-    @functools.lru_cache(maxsize=None)
-    def coeff(i):
-        return Fraction((-1) ** i, i - 1)
-
-    return Generator("jeffreys", 0, 0, coeff, ev, sups)
+    return Generator("jeffreys", 0, 0,
+                     _each(lambda i: Fraction((-1) ** i, i - 1)), ev, sups)
 
 
 @functools.cache
@@ -256,12 +273,11 @@ def jensen_shannon() -> Generator:
                        safe_exp(log_fact[k - 1]) * (a - (m + 1.0) ** (-k)))
         return out
 
-    @functools.lru_cache(maxsize=None)
     def coeff(i):
         half_pow = 2 ** (i - 1)
         return Fraction((-1) ** i * (half_pow - 1), half_pow * i * (i - 1))
 
-    return Generator("js", 0, 0, coeff, ev, sups)
+    return Generator("js", 0, 0, _each(coeff), ev, sups)
 
 
 @functools.cache
@@ -282,11 +298,9 @@ def harmonic() -> Generator:
         return [safe_exp(log_2 + log_fact[k + 1] - (k + 2) * log1p_m)
                 for k in orders]
 
-    @functools.lru_cache(maxsize=None)
-    def coeff(i):
-        return Fraction((-1) ** (i + 1), 2**i)
-
-    return Generator("harmonic", 1, Fraction(1, 2), coeff, ev, sups)
+    return Generator("harmonic", 1, Fraction(1, 2),
+                     _each(lambda i: Fraction((-1) ** (i + 1), 2**i)),
+                     ev, sups)
 
 
 @functools.cache
@@ -298,13 +312,9 @@ def exponential() -> Generator:
             return math.inf
         return math.exp(u) - math.e * u
 
-    @functools.lru_cache(maxsize=None)
-    def coeff(i):
-        if i <= 170:
-            return math.e / float(math.factorial(i))
-        return safe_exp(1.0 - log_factorial(i))
-
-    return Generator("exp", 0, 0, coeff, ev,
+    coeffs = _each(lambda i: math.e / float(math.factorial(i)) if i <= 170
+                   else safe_exp(1.0 - log_factorial(i)))
+    return Generator("exp", 0, 0, coeffs, ev,
                      lambda orders, m, M: [safe_exp(M)] * len(orders))
 
 
@@ -331,11 +341,8 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
     else:
         gamma, scale = gamma_f, -4.0 / (1.0 - a_f * a_f)
 
-    # memoized: the generalized binomial rebuilds an O(i) product per
-    # call, which dominates batch loops that sweep the same orders
-    @functools.lru_cache(maxsize=None)
-    def coeff(i):
-        return scale * generalized_binomial(gamma, i)
+    def coeffs(top):
+        return [scale * b for b in _binomials(gamma, top)[2:]]
 
     fprime = scale * gamma
     lead = 4.0 / (1.0 - a_f * a_f)
@@ -382,7 +389,7 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
                 known[k] = sup(k, m, M)
         return [known[k] for k in orders]
 
-    gen = Generator(name, 0, fprime, coeff, ev, sups)
+    gen = Generator(name, 0, fprime, coeffs, ev, sups)
     _alpha_of[gen] = key
     return gen
 
@@ -435,7 +442,7 @@ def _poly_cached(coeffs: tuple) -> Generator:
 
     f1 = sum(a, start=Fraction(0))
     fp1 = sum((j * a[j] for j in range(1, d + 1)), start=Fraction(0))
-    return Generator(name, f1, fp1, coeff, ev,
+    return Generator(name, f1, fp1, _each(coeff), ev,
                      lambda orders, m, M: [sup(k, m, M) for k in orders])
 
 
@@ -495,8 +502,8 @@ def catalog_coeff(gen: Generator, i: int) -> Number:
     """Free-function form of ``gen.coeff(i)``.
 
     Exists so coefficient tables can be built by mapping over (generator,
-    order) grids without bound-method plumbing.  Exact (int or Fraction)
-    whenever the generator's coefficient stream is exact.
+    order) grids without bound-method plumbing.  A Fraction whenever the
+    generator's coefficient is rational.
     """
     if not isinstance(gen, Generator):
         raise ValueError(f"expected a Generator, got {gen!r}")
@@ -507,24 +514,33 @@ def catalog_coeff(gen: Generator, i: int) -> Number:
 # conjugation
 
 
-def _conjugate_coeff(gen: Generator, i: int) -> Number:
-    """c*_i = (-1)^i * sum_{m=2..i} C(i-2, m-2) c_m, exact for exact c_m."""
-    total = exact_or_fsum([math.comb(i - 2, m - 2) * gen.coeff_fn(m)
-                           for m in range(2, i + 1)])
-    return -total if i % 2 else total
-
-
-def _conjugate_stream(gen: Generator) -> Callable[[int], Number]:
-    """The coefficient function c*_i, i >= 2, of f*(u) = u f(1/u).
+def _conjugate(gen: Generator, top: int) -> list:
+    """c*_2..c*_top of f*(u) = u f(1/u), from the coefficient table of gen.
 
     u f_a(1/u) = 4/(1-a^2) (u - u^((1-a)/2)) differs from f_{-a} by an
-    affine term, so an alpha generator's conjugate takes the closed-form
-    stream of alpha:-a.  Every other generator takes the binomial sum,
-    which cancels in float arithmetic as the order grows.
+    affine term, so an alpha generator's conjugate is the table of
+    alpha:-a.  Any other table takes the binomial transform of
+    `conjugate_coeffs`: one integer sum per order over the common
+    denominator when every coefficient is rational, else a math.fsum of
+    float products, which cancels as the order grows.
     """
     if gen in _alpha_of:
-        return alpha_generator(-_alpha_of[gen]).coeff_fn
-    return functools.partial(_conjugate_coeff, gen)
+        exact, floats, _ = alpha_generator(-_alpha_of[gen]).coeff_table(top)
+        return [f if c is None else c for c, f in zip(exact[:top - 1], floats)]
+    exact, floats, _ = gen.coeff_table(top)
+    exact, floats = exact[:top - 1], floats[:top - 1]
+    # row r holds C(r, m - 2) for m = 2..r + 2, the weights of order r + 2
+    rows = [[math.comb(r, j) for j in range(r + 1)] for r in range(top - 1)]
+    if None in exact:
+        sums = [math.fsum([b * c for b, c in zip(row, floats)])
+                for row in rows]
+    else:
+        # a list: math.lcm(*generator) fills tuple free lists, +0.4 MB RSS
+        den = math.lcm(*[c.denominator for c in exact])
+        nums = [c.numerator * (den // c.denominator) for c in exact]
+        sums = [Fraction(sum(b * n for b, n in zip(row, nums)), den)
+                for row in rows]
+    return [-c if r % 2 else c for r, c in enumerate(sums)]
 
 
 def conjugate_coeffs(gen: Generator, k_max: int) -> list:
@@ -536,34 +552,24 @@ def conjugate_coeffs(gen: Generator, k_max: int) -> list:
 
         c*_i = (-1)^i * sum_{m=2..i} C(i-2, m-2) c_m
 
-    so f(1) and f'(1) enter only the affine part.  Exact inputs give exact
-    rational output; float coefficients are summed with math.fsum.  An
-    alpha generator's conjugate is the closed-form stream of alpha:-a.
+    so f(1) and f'(1) enter only the affine part.  The sum runs over the
+    coefficient table of gen: exact inputs give exact rational output, and
+    float coefficients are summed with math.fsum.  An alpha generator's
+    conjugate is the table of alpha:-a.
     """
-    check_int(k_max, 2, "k_max")
-    stream = _conjugate_stream(gen)
-    return [stream(i) for i in range(2, k_max + 1)]
+    return _conjugate(gen, check_int(k_max, 2, "k_max"))
 
 
 def conjugate_generator(gen: Generator, k_max: int = 64) -> Generator:
     """Generator object for f*(u) = u f(1/u), orders 2..k_max.
 
-    Coefficient i is that of `conjugate_coeffs`, computed on demand and
-    cached; orders above k_max raise ValueError.  f*(1) = f(1)
-    and f*'(1) = f(1) - f'(1).  deriv_sup reports +inf (no monotone
-    closed form is claimed for conjugates); eval at 0 approximates the
-    u -> 0+ limit numerically.
+    Its coefficient table is that of `conjugate_coeffs`, built from the
+    table of gen when an order is first asked for; orders above k_max
+    raise ValueError.  f*(1) = f(1) and f*'(1) = f(1) - f'(1).  deriv_sup
+    reports +inf (no monotone closed form is claimed for conjugates); eval
+    at 0 approximates the u -> 0+ limit numerically.
     """
     check_int(k_max, 2, "k_max")
-    stream = _conjugate_stream(gen)
-
-    @functools.lru_cache(maxsize=None)
-    def coeff(i):
-        if i > k_max:
-            raise ValueError(
-                f"conjugate of {gen.name!r} built up to order {k_max}, asked for {i}"
-            )
-        return stream(i)
 
     def ev(u):
         if u == 0:
@@ -574,7 +580,7 @@ def conjugate_generator(gen: Generator, k_max: int = 64) -> Generator:
         f"conj({gen.name})",
         gen.f_at_one,
         gen.f_at_one - gen.fprime_at_one,
-        coeff,
+        lambda top: _conjugate(gen, min(top, k_max)),
         ev,
         lambda orders, m, M: [math.inf] * len(orders),
     )

@@ -351,6 +351,15 @@ class TestExactCommand:
         _, rows = rows_of(out)
         assert rows[0][2] == "closed-form-alpha"
 
+    def test_padded_alpha_spec_takes_the_closed_form(self, capsys):
+        # the closed form takes alpha from the parsed generator
+        code, out, _ = run(capsys, "exact", "--spec", POISSON_SPEC,
+                           "--divergence", " alpha:0.5 ")
+        assert code == 0
+        assert out == run(capsys, "exact", "--spec", POISSON_SPEC,
+                          "--divergence", "alpha:0.5")[1]
+        assert rows_of(out)[1][0][2] == "closed-form-alpha"
+
     def test_expand_agrees_with_exact_for_alpha3(self, capsys):
         # the alpha = 3 coefficient stream stops at order 2, so the
         # truncated expansion IS the closed-form value

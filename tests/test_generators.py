@@ -485,3 +485,109 @@ def test_coeff_table_holds_each_coefficient(gen):
                          else None)
         assert type(cf) is float and cf == float(c)
         assert zero == (c == 0)
+
+
+# ---------------------------------------------------------------------------
+# one table per generator, against the per-order formulas it replaced
+
+
+def _old_binomial(gamma, i):
+    if isinstance(gamma, int):
+        gamma = Fraction(gamma)
+    out = Fraction(1) if isinstance(gamma, Fraction) else 1.0
+    for t in range(i):
+        out = out * (gamma - t) / (t + 1)
+    return out
+
+
+def _old_alpha(key):
+    if isinstance(key, float) and key.is_integer():
+        key = int(key)
+    a_f = float(key)
+    if isinstance(key, (int, Fraction)) and ((1 + Fraction(key)) / 2
+                                             ).denominator == 1:
+        a = Fraction(key)
+        gamma, scale = (1 + a) / 2, Fraction(-4) / (1 - a**2)
+    else:
+        gamma, scale = 0.5 * (1.0 + a_f), -4.0 / (1.0 - a_f * a_f)
+    return lambda i: scale * _old_binomial(gamma, i)
+
+
+def _old_poly(a):
+    a = [Fraction(c) for c in a]
+    return lambda i: sum((a[j] * math.comb(j, i) for j in range(i, len(a))),
+                         start=Fraction(0))
+
+
+def _old_conjugate(stream):
+    def coeff(i):
+        terms = [math.comb(i - 2, m - 2) * stream(m) for m in range(2, i + 1)]
+        if all(isinstance(t, (int, Fraction)) for t in terms):
+            total = sum(terms)
+        else:
+            total = math.fsum(map(float, terms))
+        return -total if i % 2 else total
+    return coeff
+
+
+def _old_exp(i):
+    if i <= 170:
+        return math.e / float(math.factorial(i))
+    return math.exp(1.0 - math.lgamma(i + 1))
+
+
+OLD_STREAMS = {
+    "kl": lambda i: Fraction((-1) ** i, i),
+    "rkl": lambda i: Fraction((-1) ** i, i * (i - 1)),
+    "jeffreys": lambda i: Fraction((-1) ** i, i - 1),
+    "js": lambda i: Fraction((-1) ** i * (2 ** (i - 1) - 1),
+                             2 ** (i - 1) * i * (i - 1)),
+    "harmonic": lambda i: Fraction((-1) ** (i + 1), 2**i),
+    "exp": _old_exp,
+}
+ALPHAS = [3, 5, 7, -3, 0.5, -0.5, 2, 2.5, Fraction(1, 3), Fraction(-7, 3)]
+POLYS = [(Fraction(1, 3), -2, 0, Fraction(5, 2), 1), (4, 0, -1, 0, 0, 2)]
+CONJ_BASES = [kl(), jensen_shannon(), exponential(),
+              polynomial_generator(POLYS[0]), alpha_generator(0.5),
+              conjugate_generator(jensen_shannon(), 64)]
+OLD_CONJUGATES = [_old_conjugate(OLD_STREAMS["kl"]),
+                  _old_conjugate(OLD_STREAMS["js"]), _old_conjugate(_old_exp),
+                  _old_conjugate(_old_poly(POLYS[0])),
+                  _old_alpha(-0.5),  # conj(alpha:a) is alpha:-a
+                  _old_conjugate(_old_conjugate(OLD_STREAMS["js"]))]
+TABLE_CASES = (
+    [(CATALOG[name](), OLD_STREAMS[name], None) for name in sorted(CATALOG)]
+    + [(alpha_generator(a), _old_alpha(a), None) for a in ALPHAS]
+    + [(polynomial_generator(a), _old_poly(a), None) for a in POLYS]
+    + [(conjugate_generator(base, 64), old, base)
+       for base, old in zip(CONJ_BASES, OLD_CONJUGATES)]
+)
+
+
+@pytest.mark.parametrize("gen, old, base", TABLE_CASES,
+                         ids=[gen.name for gen, _, _ in TABLE_CASES])
+def test_table_equals_the_per_order_formula(gen, old, base):
+    want = [old(i) for i in range(2, 65)]
+    exact, floats, _ = gen.coeff_table(64)
+    tabled = [f if x is None else x for x, f in zip(exact, floats)][:63]
+    for got in ([gen.coeff(i) for i in range(2, 65)], tabled,
+                want if base is None else conjugate_coeffs(base, 64)):
+        assert [type(c) for c in got] == [type(c) for c in want]
+        assert got == want
+
+
+def test_one_table_grows_and_keeps_its_prefixes():
+    for gen in (conjugate_generator(jensen_shannon(), 64),
+                conjugate_generator(exponential(), 64), kl()):
+        small = gen.coeff_table(12)
+        big = gen.coeff_table(64)
+        assert gen.coeff_table(20) is big
+        for short, full in zip(small, big):
+            assert len(short) >= 11 and len(full) >= 63
+            assert full[:len(short)] == short
+    cg = conjugate_generator(kl(), 20)
+    assert cg.coeff(20) == reverse_kl().coeff(20)
+    with pytest.raises(ValueError):
+        cg.coeff(21)
+    with pytest.raises(ValueError):
+        cg.coeff_table(21)

@@ -168,9 +168,11 @@ BASIS_IN = "<basis file>"
     ("1,1/2\n" + BASIS_ROWS, "basis order must be an integer of at least 2"),
     ("0,1\n" + BASIS_ROWS, "basis order must be an integer of at least 2"),
     ("-1,1\n" + BASIS_ROWS, "basis order must be an integer of at least 2"),
-    (BASIS_ROWS + "1000000000,0.5\n", "basis file order 1000000000 exceeds"),
+    (BASIS_ROWS + "1000000000,0.5\n", "order 7 is missing"),
     ("2,x\n", "bad basis CSV row"),
     ("2,1/0\n", "bad basis CSV row"),
+    # a partial sum over this file would read chi_3 and chi_5 as 0
+    ("2,1/4\n4,1/20\n6,1/80\n", "order 3 is missing"),
 ])
 @pytest.mark.parametrize("argv", [
     ("expand", "--generator", "rkl"),
@@ -184,6 +186,22 @@ def test_cli_refuses_malformed_basis_files(tmp_path, rows, field, argv):
     code, out, err = _cli(*argv, "--basis-in", str(path), "-k", "5")
     assert (code, out) == (2, "")
     assert field in err
+
+
+# the file runs to order 6, and -k 4 keeps its orders 2..4
+@pytest.mark.parametrize("argv, rows", [
+    (("expand", "--generator", "kl"), 3),
+    (("batch", "--generators", "kl"), 1),
+])
+def test_cli_cuts_a_basis_file_at_k(tmp_path, argv, rows):
+    path = tmp_path / "basis.csv"
+    path.write_text("order,chi_pm\n" + BASIS_ROWS, encoding="utf-8")
+    code, out, err = _cli(*argv, "--basis-in", str(path), "-k", "4",
+                          "--rational")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1 + rows
+    # 1/4 * 1/2 - 1/10 * 1/3 + 1/20 * 1/4
+    assert lines[-1].endswith(",5/48")
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,18 @@ class TestQuadrature:
         assert val == pytest.approx(0.5, rel=1e-9)
         assert err < 1e-9
 
+    # KL = gap^2 / 2 = 800 (450 at theta_q = 30), but the density ratio
+    # underflows to 0 in the tails, where kl's f(0+) = +inf enters the sum
+    @pytest.mark.xfail(strict=True, reason="the quadrature integrand forms "
+                       "the ratio in linear space, so it underflows")
+    @pytest.mark.parametrize("theta_q", [30.0, 40.0])
+    def test_far_gaussian_kl_survives_ratio_underflow(self, theta_q):
+        pair = PairSpec(kind="aef", fam=gaussian_iso(1),
+                        theta_p=np.array([0.0]), theta_q=np.array([theta_q]))
+        val, err = quadrature_f_divergence(kl(), pair)
+        want = theta_q**2 / 2
+        assert math.isfinite(err) and abs(val - want) <= err + 1e-12 * want
+
     def test_gaussian_projection_in_three_dimensions(self):
         # the ratio depends on x only through one projection, so any-d
         # pairs with |gap| = 1 must reproduce the d = 1 value
