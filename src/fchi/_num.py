@@ -15,6 +15,7 @@ import numbers
 import sys
 import warnings
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -165,11 +166,12 @@ def _gauss_kronrod(fn, a: float, b: float, rule: _GaussKronrod):
     fv = [fn(centre + half * x) for x in rule.nodes]
     fc = fv[-1]
     sums = list(map(add, fv[:rule.n], fv[rule.n:-1]))
-    kronrod = sum(map(mul, rule.wk, sums), rule.ck * fc)
-    gauss = sum(map(mul, rule.wg, sums), rule.cg * fc)
+    kronrod = reduce(add, map(mul, rule.wk, sums), rule.ck * fc)
+    gauss = reduce(add, map(mul, rule.wg, sums), rule.cg * fc)
     mean = 0.5 * kronrod
-    resabs = half * sum(map(mul, rule.weights, map(abs, fv)))
-    resasc = half * sum(map(mul, rule.weights, [abs(f - mean) for f in fv]))
+    resabs = half * reduce(add, map(mul, rule.weights, map(abs, fv)))
+    resasc = half * reduce(add, map(mul, rule.weights,
+                                    [abs(f - mean) for f in fv]))
     err = abs((kronrod - gauss) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, 200.0 * err / resasc) ** 1.5
@@ -189,8 +191,8 @@ def quad(fn, lo: float, hi: float, points=(), limit: int = 50,
     the largest error estimate is bisected until the summed estimate is
     at most max(epsabs, epsrel |integral|), or until `limit` intervals
     exist, which warns with a RuntimeWarning naming the estimate.  A
-    value or estimate that is not finite ends the loop at once.  The
-    integral is the math.fsum of the interval values.
+    value or estimate that is not finite ends the loop at once.  Each
+    step reads both totals as the math.fsum over the intervals.
     """
     if hi == math.inf:
         rule, edges = _QK15, (0.0, 1.0)
@@ -203,27 +205,30 @@ def quad(fn, lo: float, hi: float, points=(), limit: int = 50,
         value, err = _gauss_kronrod(integrand, a, b, rule)
         heap.append((-err, a, b, value))
     heapq.heapify(heap)
-    value = sum(item[3] for item in heap)
-    err = -sum(item[0] for item in heap)
-    while (math.isfinite(value + err)
-           and err > max(epsabs, epsrel * abs(value))):
+    while True:
+        value, err = _total(heap, 3), -_total(heap, 0)
+        if (not (math.isfinite(value) and math.isfinite(err))
+                or err <= max(epsabs, epsrel * abs(value))):
+            return value, err
         if len(heap) >= limit:
             warnings.warn(
                 f"quadrature reached its limit of {limit} intervals with "
                 f"error estimate {err:.3g}", RuntimeWarning, stacklevel=2)
-            break
-        neg_err, a, b, old = heapq.heappop(heap)
+            return value, err
+        _, a, b, _ = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         v1, e1 = _gauss_kronrod(integrand, a, mid, rule)
         v2, e2 = _gauss_kronrod(integrand, mid, b, rule)
         heapq.heappush(heap, (-e1, a, mid, v1))
         heapq.heappush(heap, (-e2, mid, b, v2))
-        value += v1 + v2 - old
-        err += e1 + e2 + neg_err
-    if math.isfinite(value + err):
-        value = math.fsum(item[3] for item in heap)
-        err = -math.fsum(item[0] for item in heap)
-    return value, err
+
+
+def _total(heap: list, at: int) -> float:
+    """saturating_fsum of entry `at` over heap; NaN where +inf meets -inf."""
+    try:
+        return saturating_fsum([item[at] for item in heap], "quadrature")
+    except OverflowSaturationError:
+        return math.nan
 
 
 _RESCALE = 2.0 ** -600

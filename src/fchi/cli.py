@@ -35,7 +35,7 @@ from .expansion import (
     pair_ratio_bounds,
 )
 from .families import load_pair_spec
-from .generators import _alpha_of, from_spec
+from .generators import from_spec
 from .reference import (
     exact_alpha_aef,
     exact_f_divergence_discrete,
@@ -213,8 +213,8 @@ def _cmd_exact(args) -> int:
     elif pair.kind == "discrete":
         value = exact_f_divergence_discrete(gen, pair.p, pair.q)
         method = "exact-discrete"
-    elif pair.kind == "aef" and gen in _alpha_of:
-        value = exact_alpha_aef(_alpha_of[gen], pair.fam, pair.theta_p,
+    elif pair.kind == "aef" and gen.alpha is not None:
+        value = exact_alpha_aef(gen.alpha, pair.fam, pair.theta_p,
                                 pair.theta_q)
         method = "closed-form-alpha"
     else:

@@ -175,19 +175,21 @@ def remainder_bound(gen: Generator, k: int, bounds: RatioBounds,
                     chi_abs_k1: Optional[Number] = None) -> float:
     """Certified cap on the error of the order-k truncation.
 
-    The envelope factor is chi_abs_k1 (the order k+1 absolute chi term)
-    when supplied, else (M - m)^(k+1).  Returns +inf when no finite
-    certificate exists (unbounded ratio or unbounded derivative), and 0.0
-    when the generator's (k+1)-th derivative vanishes on [m, M].
+    The envelope factor is chi_abs_k1 (the order k+1 absolute chi term),
+    a nonnegative real or +inf, when supplied, else (M - m)^(k+1).
+    Returns +inf when no finite certificate exists (unbounded ratio or
+    unbounded derivative), and 0.0 when the generator's (k+1)-th
+    derivative vanishes on [m, M].
     """
     check_int(k, 1, "truncation order")
     if chi_abs_k1 is None:
         return _remainder_bounds(gen, (k,), bounds)[0]
+    if chi_abs_k1 != math.inf and not (
+            check_real(chi_abs_k1, "chi_abs_k1") >= 0):
+        raise InputError(f"chi_abs_k1 must be nonnegative, got {chi_abs_k1!r}")
     sup = gen.deriv_sup(k, float(bounds.m), to_float(bounds.M))
-    if sup == 0.0:
-        return 0.0
     env = to_float(chi_abs_k1)
-    if env == 0.0:
+    if sup == 0.0 or env == 0.0:
         return 0.0
     if env == math.inf or sup == math.inf:
         return math.inf
@@ -306,13 +308,9 @@ def converge(gen: Generator, source, max_order: int = 20, *,
         raise InputError(f"tolerance must be positive, got {tol!r}")
     if exact_value is not None:
         check_real(exact_value, "exact value")
-    if isinstance(source, ChiBasis):
-        basis = source
-        top = basis.max_order
-    else:
-        basis = None
-        top = max_order
-    check_int(top, 4, "the max order of a verdict")
+    basis = source if isinstance(source, ChiBasis) else None
+    check_int(max_order if basis is None else basis.max_order, 4,
+              "the max order of a verdict")
     if basis is None:
         try:
             basis = compute_basis(source, max_order)

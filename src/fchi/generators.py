@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from ._num import (MAX_EXP_ARG, check_float, check_int, check_real,
                    is_exact, log_factorial, log_factorials, safe_exp,
@@ -103,6 +103,8 @@ class Generator:
     same float operations as a one-order call.  The generator holds one
     CoeffTable, which `coeff`, `coeff_table`, conjugation and the expansion
     loops all read, and `deriv_sups` serves a report's caps in one call.
+    `alpha` is the a of an `alpha_generator`, None on any other generator
+    (conjugates too); conjugation and the closed form read it.
     """
 
     name: str
@@ -112,6 +114,7 @@ class Generator:
     eval_fn: Callable[[float], float] = field(repr=False)
     deriv_sups_fn: Callable[[Sequence[int], float, float], list] = \
         field(repr=False)
+    alpha: Optional[Number] = None
     _table: CoeffTable = field(default=CoeffTable((), (), ()), init=False,
                                repr=False, compare=False)
 
@@ -322,15 +325,8 @@ def _alpha_exact(a: Fraction) -> bool:
     return ((1 + a) / 2).denominator == 1
 
 
-# the alpha of each generator _alpha_cached built: conjugation recognises
-# an alpha generator from this record, never from its name
-_alpha_of: dict = {}
-
-
 @functools.cache
 def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
-    if isinstance(key, float) and key.is_integer():
-        key = int(key)
     a_exact = Fraction(key) if isinstance(key, (int, Fraction)) else None
     a_f = check_float(key, "alpha")
     gamma_f = 0.5 * (1.0 + a_f)
@@ -389,9 +385,7 @@ def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
                 known[k] = sup(k, m, M)
         return [known[k] for k in orders]
 
-    gen = Generator(name, 0, fprime, coeffs, ev, sups)
-    _alpha_of[gen] = key
-    return gen
+    return Generator(name, 0, fprime, coeffs, ev, sups, alpha=key)
 
 
 def alpha_generator(alpha: Number) -> Generator:
@@ -403,9 +397,8 @@ def alpha_generator(alpha: Number) -> Generator:
     """
     if check_real(alpha, "alpha") in (1, -1):
         raise InputError("alpha = +-1 has no power-type generator; use kl/rkl")
-    if isinstance(alpha, Fraction) and alpha.denominator == 1:
-        alpha = int(alpha)
-    return _alpha_cached(alpha)
+    # an integral alpha is an int, so alpha:3.0 is alpha:3 with .alpha 3
+    return _alpha_cached(int(alpha) if alpha == int(alpha) else alpha)
 
 
 @functools.cache
@@ -524,8 +517,8 @@ def _conjugate(gen: Generator, top: int) -> list:
     denominator when every coefficient is rational, else a math.fsum of
     float products, which cancels as the order grows.
     """
-    if gen in _alpha_of:
-        exact, floats, _ = alpha_generator(-_alpha_of[gen]).coeff_table(top)
+    if gen.alpha is not None:
+        exact, floats, _ = alpha_generator(-gen.alpha).coeff_table(top)
         return [f if c is None else c for c, f in zip(exact[:top - 1], floats)]
     exact, floats, _ = gen.coeff_table(top)
     exact, floats = exact[:top - 1], floats[:top - 1]

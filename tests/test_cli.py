@@ -386,6 +386,15 @@ class TestExactCommand:
         assert code == 0
         assert out == "generator,value,method\nalpha:3,inf,quadrature\n"
 
+    def test_quadrature_diverging_alpha_is_inf(self, capsys):
+        # 3 theta_q - 2 theta_p = -0.4: the alpha:5 integral diverges
+        spec = ('{"kind": "aef", "family": "trunc_exp", "a": 0, '
+                '"theta_p": [2.0], "theta_q": [1.2]}')
+        code, out, _ = run(capsys, "exact", "--spec", spec,
+                           "--generator", "alpha:5", "--quadrature")
+        assert code == 0
+        assert out == "generator,value,method\nalpha:5,inf,quadrature\n"
+
     def test_quadrature_over_the_atom_budget_exits_2(self, capsys):
         spec = ('{"kind": "aef", "family": "poisson", '
                 f'"theta_p": [{math.log(1e9)!r}], '

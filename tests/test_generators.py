@@ -279,6 +279,14 @@ def test_symmetric_generators_are_self_conjugate(factory):
     assert conjugate_coeffs(gen, 64) == [gen.coeff(i) for i in range(2, 65)]
 
 
+def test_alpha_generators_carry_their_alpha():
+    assert alpha_generator(Fraction(1, 3)).alpha == Fraction(1, 3)
+    assert alpha_generator(3.0).alpha == 3
+    assert alpha_generator(0).alpha == 0
+    assert kl().alpha is None
+    assert conjugate_generator(alpha_generator(3)).alpha is None
+
+
 def test_conjugate_alpha_negates_alpha():
     conj = conjugate_coeffs(alpha_generator(3), 64)
     want = [alpha_generator(-3).coeff(i) for i in range(2, 65)]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fchi.chi import chi_pm, chi_pm_aef
 from fchi.cli import main
 from fchi.errors import InputError
-from fchi.expansion import converge
+from fchi.expansion import RatioBounds, converge, remainder_bound
 from fchi.families import (
     DiscreteDistribution,
     MixtureSpec,
@@ -48,6 +48,11 @@ def _aef(**fields):
     spec = {"kind": "aef", "family": "gaussian_iso", "theta_p": [0.0],
             "theta_q": [1.0]}
     return lambda: load_pair_spec({**spec, **fields})
+
+
+def _envelope(chi_abs_k1):
+    return lambda: remainder_bound(kl(), 3, RatioBounds(Fraction(1, 2), 2),
+                                   chi_abs_k1=chi_abs_k1)
 
 
 @pytest.mark.parametrize("call, field", [
@@ -98,6 +103,12 @@ def _aef(**fields):
     (lambda: chi_pm_aef(2, HUGE, poisson(), [1.0], [1.5]), "anchor lam"),
     (lambda: alpha_generator(HUGE), "alpha"),
     (lambda: exact_alpha_aef(HUGE, gaussian_iso(1), [0.0], [1.0]), "alpha"),
+    (_envelope(math.nan), "chi_abs_k1"),
+    (_envelope(-1.0), "chi_abs_k1"),
+    (_envelope(True), "chi_abs_k1"),
+    (_envelope("x"), "chi_abs_k1"),
+    (_envelope(-math.inf), "chi_abs_k1"),
+    (_envelope(Fraction(-1, 3)), "chi_abs_k1"),
 ])
 def test_library_refuses_malformed_input(call, field):
     with pytest.raises(InputError, match=field):

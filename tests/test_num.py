@@ -1,7 +1,10 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fchi._num import (
     _QK15,
@@ -196,6 +199,59 @@ def test_quad_sums_the_interval_values_exactly():
     steps = lambda x: 1e16 if x < 1.0 else 1.0 if x < 2.0 else -1e16
     value, _ = quad(steps, 0.0, 3.0, points=[1.0, 2.0], epsabs=1e3)
     assert value == 1.0
+
+
+def test_quad_keeps_the_estimates_a_first_spike_dwarfs():
+    # 1e40 at one node of the first rule: its estimate is more than 2^53
+    # times the rest, so running totals would cancel to 0 at the first
+    # bisection and stop there
+    node = 0.5 + 0.5 * 0.14887433898163121
+    spike = lambda x: 1e40 if x == node else x ** -0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, err = quad(spike, 0.0, 1.0, limit=300, epsabs=1e-10,
+                          epsrel=1e-12)
+    assert err <= max(1e-10, 1e-12 * value)
+    assert abs(value - 2.0) <= err
+
+
+def test_quad_totals_saturate_and_meet_in_nan():
+    # each piece integrates to 1e308, so an exact sum of the two raises
+    value, _ = quad(lambda x: 1e308, 0.0, 2.0, points=[1.0])
+    assert value == math.inf
+    value, _ = quad(lambda x: math.inf if x < 1.0 else -math.inf, 0.0, 2.0,
+                    points=[1.0])
+    assert math.isnan(value)
+
+
+def _rule_node(level, index, x):
+    """The node x of the 21-point rule on interval index of the 2^level
+    equal pieces of [0, 1], formed as quad's bisections form it."""
+    width = 2.0 ** -level
+    a = index % 2 ** level * width
+    b = a + width
+    return 0.5 * (a + b) + 0.5 * (b - a) * x
+
+
+_SPIKES = st.lists(st.tuples(
+    st.integers(0, 3), st.integers(0, 7), st.sampled_from(_QK21.nodes),
+    st.builds(lambda sign, e: sign * 10.0 ** e,
+              st.sampled_from([1.0, -1.0]), st.integers(0, 45))),
+    max_size=3)
+
+
+@settings(max_examples=60)
+@given(power=st.floats(0.0, 0.9), wave=st.integers(0, 40), spikes=_SPIKES,
+       eps=st.sampled_from([1e-6, 1e-10, 1e-12]))
+def test_quad_returns_within_tolerance_or_warns(power, wave, spikes, eps):
+    heights = {_rule_node(*s[:3]): s[3] for s in spikes}
+    fn = lambda x: heights.get(x, x ** -power + math.sin(wave * x))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        value, err = quad(fn, 0.0, 1.0, limit=100, epsabs=eps, epsrel=eps)
+    assert (any(w.category is RuntimeWarning for w in seen)
+            or not (math.isfinite(value) and math.isfinite(err))
+            or err <= max(eps, eps * abs(value)))
 
 
 @pytest.mark.parametrize("fn", [

@@ -246,6 +246,30 @@ class TestQuadrature:
         want = theta_q**2 / 2
         assert math.isfinite(err) and abs(val - want) <= err + 1e-12 * want
 
+    # alpha:5 on trunc_exp(0) from theta 2.0: the integrand's tail decays
+    # at rate 3 theta_q - 2 theta_p
+    @staticmethod
+    def _trunc_exp_pair(theta_q):
+        return PairSpec(kind="aef", fam=trunc_exp(0.0),
+                        theta_p=np.array([2.0]), theta_q=np.array([theta_q]))
+
+    def test_diverging_trunc_exp_alpha_is_inf(self):
+        # rate -0.4: the first tail estimate, 3.6e42, dwarfs the rest,
+        # which must not be lost to a cancelling running total
+        val, err = quadrature_f_divergence(alpha_generator(5),
+                                           self._trunc_exp_pair(1.2))
+        assert (val, err) == (math.inf, math.inf)
+
+    # rate 0.02: the integral converges, but near x = 360 f(q/p) overflows
+    # to +inf where p is about 4e-313, so p f(q/p) ~ e^-7.7 is lost
+    @pytest.mark.xfail(strict=True, reason="the quadrature integrand forms "
+                       "f(q/p) in linear space, so it overflows")
+    def test_slow_trunc_exp_alpha_survives_ratio_overflow(self):
+        val, err = quadrature_f_divergence(alpha_generator(5),
+                                           self._trunc_exp_pair(1.34))
+        want = exact_alpha_aef(5, trunc_exp(0.0), [2.0], [1.34])
+        assert math.isfinite(err) and abs(val - want) <= err + 1e-12 * want
+
     def test_gaussian_projection_in_three_dimensions(self):
         # the ratio depends on x only through one projection, so any-d
         # pairs with |gap| = 1 must reproduce the d = 1 value
