@@ -11,8 +11,9 @@ first two form their per-pair state once and serve any number of orders:
   weights, and order i is the single Fraction sum_e W_e e^i / (V L^i).
   Each distinct base pays one integer product per order and no atom
   pays a division, and the value equals the per-atom Fraction sum.  A
-  pair whose estimated work passes a budget is refused with InputError
-  before any power is formed;
+  basis keeps the unreduced numerators with V and L, which the exact
+  expansions sum in.  A pair whose estimated work passes a budget is
+  refused with InputError before any power is formed;
 * one closed form for affine exponential families: order i is the
   binomial transform of the moments M_j = E_p[(q/p)^j], log-normalizer
   gaps summed over the compositions of j into the components of q;
@@ -93,11 +94,13 @@ def _pow(base: float, n: int) -> float:
 
 
 def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
-                     q: DiscreteDistribution, absolute: bool = False) -> list:
-    """Terms sum_s p_s b_s^i at increasing orders i, b_s = q_s/p_s - lam.
+                     q: DiscreteDistribution, absolute: bool = False) -> tuple:
+    """(values, form): terms sum_s p_s b_s^i at increasing orders i,
+    b_s = q_s/p_s - lam, and their integer form.
 
     Each b_s (|b_s| when absolute) is formed once; see chi_pm_discrete.
-    Rational inputs take the integer route of _exact_discrete_values.
+    Rational inputs take the integer route of _exact_discrete_values,
+    which gives the form; it is None on the float route.
     """
     orders = [check_int(i, 1, "chi order") for i in orders]
     _check_lam(lam)
@@ -119,7 +122,7 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
             continue
         terms = [ps * _pow(base, i) for ps, base in atoms]
         values.append(math.fsum(terms + stray if i == 1 else terms))
-    return values
+    return values, None
 
 
 # most work the integer route may take, estimated as atoms * top order *
@@ -128,7 +131,7 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
 _EXACT_BUDGET = 10 ** 9
 
 
-def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
+def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> tuple:
     """The rational case of _discrete_values, in integers.
 
     With b_s = n_s / d_s, p_s = w_s / V (V the lcm of the p denominators)
@@ -141,7 +144,9 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
     out, since every order is at least 1).  Each order multiplies the
     running W_e e^i by e once per distinct base and is one Fraction,
     whose normalisation makes it equal, type included, to the per-atom
-    Fraction sum.
+    Fraction sum.  The form is (L, V, A) with A the unreduced sums
+    sum_e W_e e^i at the orders, or None when an atom strays
+    (p_s = 0 < q_s).
     """
     stray = [Fraction(qs) for ps, qs in zip(p, q) if ps == 0 and qs != 0]
     atoms = [(Fraction(ps), Fraction(qs) / Fraction(ps) - lam)
@@ -167,7 +172,7 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
                 + ps.numerator * (scale // ps.denominator)
     bases = list(merged)
     pows, den, reached = list(merged.values()), scale, 0
-    values = []
+    values, nums = [], []
     for i in orders:
         if stray and i >= 2:
             values.append(math.inf)
@@ -176,9 +181,10 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> list:
             pows = [a * e for a, e in zip(pows, bases)]
             den *= common
             reached += 1
-        value = Fraction(sum(pows), den)
+        nums.append(sum(pows))
+        value = Fraction(nums[-1], den)
         values.append(value + sum(stray) if i == 1 else value)
-    return values
+    return values, (None if stray else (common, scale, nums))
 
 
 def chi_pm_discrete(i: int, lam: Number, p: DiscreteDistribution,
@@ -189,13 +195,13 @@ def chi_pm_discrete(i: int, lam: Number, p: DiscreteDistribution,
     p_s = 0 < q_s makes every order i >= 2 diverge to +inf; at i = 1 it
     contributes q_s and the total telescopes to 1 - lam.
     """
-    return _discrete_values((i,), lam, p, q)[0]
+    return _discrete_values((i,), lam, p, q)[0][0]
 
 
 def chi_abs_discrete(i: int, lam: Number, p: DiscreteDistribution,
                      q: DiscreteDistribution):
     """Absolute-value variant: sum of |q_s - lam p_s|^i / p_s^(i-1)."""
-    return _discrete_values((i,), lam, p, q, absolute=True)[0]
+    return _discrete_values((i,), lam, p, q, absolute=True)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +454,22 @@ def chi_pm_trunc_exp_closed(theta_p: Number, theta_q: Number, i: int = 3):
 # pair-level dispatch and the shared basis
 
 
+def _chi_orders(orders, lam: Number, pair: PairSpec) -> tuple:
+    """(values, form): chi_pm_orders and the integer form of the exact
+    discrete route (see _exact_discrete_values), None on any other."""
+    if pair.kind == "discrete":
+        return _discrete_values(orders, lam, pair.p, pair.q)
+    return _closed_values(orders, lam, pair.fam, pair.theta_p,
+                          pair.family_q), None
+
+
 def chi_pm_orders(orders, lam: Number, pair: PairSpec) -> list:
     """Chi terms of a pair spec at increasing orders, from one builder pass.
 
     An order that fails raises as chi_pm would at that order; the orders
     before it are not returned.
     """
-    if pair.kind == "discrete":
-        return _discrete_values(orders, lam, pair.p, pair.q)
-    return _closed_values(orders, lam, pair.fam, pair.theta_p, pair.family_q)
+    return _chi_orders(orders, lam, pair)[0]
 
 
 def chi_pm(i: int, lam: Number, pair: PairSpec):
@@ -547,6 +560,21 @@ class ChiBasis:
         """The values as floats, a signed infinity past float range."""
         return to_floats(self.values)
 
+    @functools.cached_property
+    def _ints(self) -> Optional[tuple]:
+        """(L, V, A), integers with value i = A[i - 2] / (V L^i) at every
+        order; None unless every value is rational.
+
+        compute_basis seeds it with the unreduced sums of the exact
+        discrete route.  Any other basis, read from CSV or built by hand,
+        takes L = 1 and V the lcm of the value denominators.
+        """
+        if not all(self.exact_flags):
+            return None
+        den = math.lcm(*[v.denominator for v in self.values])
+        return 1, den, [v.numerator * (den // v.denominator)
+                        for v in self.values]
+
     def to_csv(self, fh, rational: bool = False) -> None:
         """Write `order,chi_pm` rows; rational=True keeps Fractions exact."""
         fh.write("order,chi_pm\n")
@@ -586,6 +614,9 @@ def compute_basis(pair: PairSpec, max_order: int, lam: Number = 1) -> ChiBasis:
     global _basis_builds
     _basis_builds += 1
     orders = tuple(range(2, max_order + 1))
-    values = tuple(chi_pm_orders(orders, lam, pair))
-    return ChiBasis(lam=lam, orders=orders, values=values,
-                    method=provenance(pair), source=pair.describe())
+    values, form = _chi_orders(orders, lam, pair)
+    basis = ChiBasis(lam=lam, orders=orders, values=tuple(values),
+                     method=provenance(pair), source=pair.describe())
+    if form is not None:
+        object.__setattr__(basis, "_ints", form)
+    return basis

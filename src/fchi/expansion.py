@@ -9,9 +9,15 @@ an envelope for the (k+1)-th absolute moment of q/p - 1.  The crude
 envelope (M - m)^(k+1) is always available; the absolute chi term of
 order k+1 is the tighter drop-in when someone computes it.
 
-Everything stays in Fraction arithmetic when the basis, the generator
-coefficients, and f(1) are all rational, so discrete rational inputs get
-bit-exact partial sums at any order.
+When the basis, the generator coefficients and f(1) are all rational,
+the partial sums are exact at any order, and they are summed in integers
+over one common denominator.  The basis holds chi_i = A_i / (V L^i) and
+the generator's table holds c_i = P_i / Q with f(1) = P_1 / Q, so the
+order-k partial sum is N_k / (Q V L^k) with N_k = L N_(k-1) + P_k A_k.
+Each stored partial sum is one Fraction, and each float of a term or a
+partial sum is one int true division, correctly rounded as
+Fraction.__float__ is.  That is how the paper's finite expansions
+(polynomial generators, odd alpha) come out exact.
 """
 
 from __future__ import annotations
@@ -106,16 +112,23 @@ def _require_anchor_one(basis: ChiBasis) -> None:
         )
 
 
-def _terms(gen: Generator, basis: ChiBasis) -> tuple:
-    """(terms, floats): coeff(i) * chi_i at the basis orders, and their floats.
+def _ratio(num: int, den: int) -> float:
+    """num / den for den > 0, correctly rounded; a signed infinity past
+    float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
-    One pass over the basis and the matching prefix of the generator's
-    coefficient table.  A vanishing coefficient kills its term even
-    against an infinite chi value; a rational coefficient times a
-    rational value is a Fraction; anything else is float(c_i) * float(chi_i).
+
+def _float_terms(table, basis: ChiBasis) -> tuple:
+    """(terms, floats): coeff(i) * chi_i where some product is a float.
+
+    A vanishing coefficient kills its term even against an infinite chi
+    value; a rational coefficient times a rational value is a Fraction;
+    anything else is float(c_i) * float(chi_i).
     """
-    _require_anchor_one(basis)
-    exact, cfs, zeros = gen.coeff_table(basis.max_order)
+    exact, cfs, zeros, _ = table
     values, flags = basis.values, basis.exact_flags
     if not any(flags):
         floats = [0.0 if z else c * v for z, c, v in zip(zeros, cfs, values)]
@@ -136,24 +149,61 @@ def _terms(gen: Generator, basis: ChiBasis) -> tuple:
     return terms, floats
 
 
+def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
+    """(terms, floats, sums, sum_floats): coeff(i) * chi_i at the basis
+    orders, their floats, the running sums and the floats of sums[1:].
+
+    sums[j] is f(1) plus the first j terms.  They are exact (Fractions)
+    when the basis and the generator's exact prefix (CoeffTable.ints)
+    reach the top order, summed in integers as the module docstring says;
+    an order whose coefficient vanishes reuses the previous sum.
+    Otherwise they are a float running sum of the term floats, which
+    stops at the first non-finite sum and repeats it, where a later term
+    of the other sign would turn an infinity into NaN.
+    """
+    _require_anchor_one(basis)
+    top = basis.max_order
+    table = gen.coeff_table(top)
+    form, prefix = basis._ints, table.ints
+    if form is None or prefix is None or len(prefix[1]) < top:
+        terms, floats = _float_terms(table, basis)
+        sums = list(itertools.accumulate(floats,
+                                         initial=to_float(gen.f_at_one)))
+        if not math.isfinite(sums[-1]):
+            j = next(j for j, s in enumerate(sums) if not math.isfinite(s))
+            sums[j:] = [sums[j]] * (len(sums) - j)
+        return terms, floats, sums, sums[1:]
+
+    big_l, big_v, nums = form
+    big_q, heads = prefix
+    num, den = heads[0] * big_v * big_l, big_q * big_v * big_l
+    total = Fraction(gen.f_at_one)
+    total_f = to_float(total)
+    terms, floats, sums, sum_floats = [], [], [total], []
+    for c, p, a, value in zip(table.exact, heads[1:], nums, basis.values):
+        num *= big_l
+        den *= big_l
+        pa = p * a
+        if pa:
+            num += pa
+            terms.append(c * value)
+            try:
+                term_f, total_f = pa / den, num / den
+            except OverflowError:
+                term_f, total_f = _ratio(pa, den), _ratio(num, den)
+            floats.append(term_f)
+            total = Fraction(num, den)
+        else:
+            terms.append(c * value if p else 0)
+            floats.append(0.0)
+        sums.append(total)
+        sum_floats.append(total_f)
+    return terms, floats, sums, sum_floats
+
+
 def expansion_terms(gen: Generator, basis: ChiBasis) -> list:
     """Per-order contributions coeff(i) * chi_i for the basis orders."""
-    return _terms(gen, basis)[0]
-
-
-def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
-    """(terms, floats, sums): expansion_terms, their floats, running sums.
-
-    sums[j] is f(1) plus the first j terms.  Exact (Fraction) when f(1)
-    and every term are rational; otherwise a float running sum of the
-    terms in order.
-    """
-    terms, floats = _terms(gen, basis)
-    if is_exact(gen.f_at_one) and all(map(is_exact, terms)):
-        start, steps = Fraction(gen.f_at_one), terms
-    else:
-        start, steps = to_float(gen.f_at_one), floats
-    return terms, floats, list(itertools.accumulate(steps, initial=start))
+    return _partial_sums(gen, basis)[0]
 
 
 def chi_expansion(gen: Generator, basis: ChiBasis, k: Optional[int] = None):
@@ -317,7 +367,7 @@ def converge(gen: Generator, source, max_order: int = 20, *,
         except (DivergenceError, OverflowSaturationError) as exc:
             return _failure_report(gen, exc)
 
-    terms, floats, sums = _partial_sums(gen, basis)
+    terms, floats, sums, sum_floats = _partial_sums(gen, basis)
     partials = sums[1:]
     orders = basis.orders
     mags = list(map(abs, floats))
@@ -338,10 +388,8 @@ def converge(gen: Generator, source, max_order: int = 20, *,
         )
     else:
         streak = 0
-        for i, g, s in zip(orders, mags, partials):
-            # tol * max(1, |s|) >= tol, so a term below tol needs no float
-            # of its partial sum
-            if g < tol or g < tol * max(1.0, abs(to_float(s))):
+        for i, g, s in zip(orders, mags, sum_floats):
+            if g < tol * max(1.0, abs(s)):
                 streak += 1
                 if streak >= _SETTLE_RUN:
                     verdict, settled = "converging", i

@@ -81,12 +81,36 @@ class CoeffTable(NamedTuple):
     asked for, so its readers take the prefix they need.  `exact` holds
     c_i as a Fraction where it is rational and None where it is a float,
     `floats` holds float(c_i) (a signed infinity past float range) and
-    `zeros` holds c_i == 0.
+    `zeros` holds c_i == 0.  `ints` is the exact prefix over one
+    denominator, (Q, P) with f(1) = P[0] / Q and c_i = P[i - 1] / Q at
+    each order up to the first whose coefficient is a nonzero float; None
+    when f(1) is a float.
     """
 
     exact: list
     floats: list
     zeros: list
+    ints: Optional[tuple]
+
+
+def _common_denominator(values: list) -> tuple:
+    """(D, [x D for x in values]) for rationals, D the lcm of their
+    denominators."""
+    # a list: math.lcm(*generator) fills tuple free lists, +0.4 MB RSS
+    den = math.lcm(*[c.denominator for c in values])
+    return den, [c.numerator * (den // c.denominator) for c in values]
+
+
+def _exact_prefix(f_at_one: Number, exact: list, zeros: list):
+    """The `ints` column of a CoeffTable; a zero float coefficient is 0."""
+    if not is_exact(f_at_one):
+        return None
+    run = [f_at_one]
+    for c, zero in zip(exact, zeros):
+        if not zero and c is None:
+            break
+        run.append(0 if zero else c)
+    return _common_denominator(run)
 
 
 @dataclass(frozen=True)
@@ -115,8 +139,8 @@ class Generator:
     deriv_sups_fn: Callable[[Sequence[int], float, float], list] = \
         field(repr=False)
     alpha: Optional[Number] = None
-    _table: CoeffTable = field(default=CoeffTable((), (), ()), init=False,
-                               repr=False, compare=False)
+    _table: CoeffTable = field(default=CoeffTable((), (), (), None),
+                               init=False, repr=False, compare=False)
 
     def coeff(self, i: int) -> Number:
         """Taylor coefficient c_i = f^(i)(1)/i! for i >= 2."""
@@ -140,10 +164,10 @@ class Generator:
             if len(coeffs) < top - 1:
                 raise ValueError(f"{self.name} has coefficients up to order "
                                  f"{len(coeffs) + 1}, asked for {top}")
-            table = CoeffTable(
-                [Fraction(c) if is_exact(c) else None for c in coeffs],
-                to_floats(coeffs),
-                [c == 0 for c in coeffs])
+            exact = [Fraction(c) if is_exact(c) else None for c in coeffs]
+            zeros = [c == 0 for c in coeffs]
+            table = CoeffTable(exact, to_floats(coeffs), zeros,
+                               _exact_prefix(self.f_at_one, exact, zeros))
             object.__setattr__(self, "_table", table)
         return table
 
@@ -325,7 +349,8 @@ def _alpha_exact(a: Fraction) -> bool:
     return ((1 + a) / 2).denominator == 1
 
 
-@functools.cache
+# typed: 0.5 == Fraction(1, 2), yet they name two generators
+@functools.lru_cache(maxsize=None, typed=True)
 def _alpha_cached(key: Union[int, float, Fraction]) -> Generator:
     a_exact = Fraction(key) if isinstance(key, (int, Fraction)) else None
     a_f = check_float(key, "alpha")
@@ -518,19 +543,18 @@ def _conjugate(gen: Generator, top: int) -> list:
     float products, which cancels as the order grows.
     """
     if gen.alpha is not None:
-        exact, floats, _ = alpha_generator(-gen.alpha).coeff_table(top)
-        return [f if c is None else c for c, f in zip(exact[:top - 1], floats)]
-    exact, floats, _ = gen.coeff_table(top)
-    exact, floats = exact[:top - 1], floats[:top - 1]
+        table = alpha_generator(-gen.alpha).coeff_table(top)
+        return [f if c is None else c
+                for c, f in zip(table.exact[:top - 1], table.floats)]
+    table = gen.coeff_table(top)
+    exact, floats = table.exact[:top - 1], table.floats[:top - 1]
     # row r holds C(r, m - 2) for m = 2..r + 2, the weights of order r + 2
     rows = [[math.comb(r, j) for j in range(r + 1)] for r in range(top - 1)]
     if None in exact:
         sums = [math.fsum([b * c for b, c in zip(row, floats)])
                 for row in rows]
     else:
-        # a list: math.lcm(*generator) fills tuple free lists, +0.4 MB RSS
-        den = math.lcm(*[c.denominator for c in exact])
-        nums = [c.numerator * (den // c.denominator) for c in exact]
+        den, nums = _common_denominator(exact)
         sums = [Fraction(sum(b * n for b, n in zip(row, nums)), den)
                 for row in rows]
     return [-c if r % 2 else c for r, c in enumerate(sums)]

@@ -124,6 +124,78 @@ def chi_power_exact(orders, lam, p, q, absolute=False):
     return values
 
 
+def _to_float(x):
+    """float(x), a signed infinity where an exact x passes float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def expansion_by_fractions(gen, basis, tol=1e-10):
+    """What converge reports for gen on basis, by plain accumulation.
+
+    Order i's term is 0 where c_i = 0 (0.0 against a float chi value),
+    the Fraction c_i * chi_i where both are rational, and
+    float(c_i) * float(chi_i) otherwise.  When f(1) and every term are
+    rational the partial sums add the terms to f(1) one Fraction at a
+    time; otherwise they add the term floats and stop at the first
+    non-finite sum.  The verdict follows the rules converge documents.
+    Returns a dict of terms, floats (of the terms), partials,
+    partial_floats, verdict, settled_at and note.
+    """
+    orders = list(basis.orders)
+    terms = []
+    for i, v in zip(orders, basis.values):
+        c = gen.coeff(i)
+        v_exact = isinstance(v, (int, Fraction))
+        if c == 0:
+            terms.append(0 if v_exact else 0.0)
+        elif isinstance(c, (int, Fraction)) and v_exact:
+            terms.append(Fraction(c) * v)
+        else:
+            terms.append(_to_float(c) * _to_float(v))
+    floats = [_to_float(t) for t in terms]
+    partials = []
+    if isinstance(gen.f_at_one, (int, Fraction)) and all(
+            isinstance(t, (int, Fraction)) for t in terms):
+        total = Fraction(gen.f_at_one)
+        for t in terms:
+            total = total + t
+            partials.append(total)
+    else:
+        total = _to_float(gen.f_at_one)
+        for t in floats:
+            if math.isfinite(total):
+                total = total + t
+            partials.append(total)
+    partial_floats = [_to_float(s) for s in partials]
+
+    mags = [abs(t) for t in floats]
+    rising = longest = 0
+    for a, b in zip(mags, mags[1:]):
+        rising = rising + 1 if b > a else 0
+        longest = max(longest, rising)
+    verdict, settled, note = "inconclusive", None, ""
+    bad = [i for i, g in zip(orders, mags) if not math.isfinite(g)]
+    if bad:
+        verdict, note = "diverging", f"order-{bad[0]} term is non-finite"
+    elif longest >= 5 and mags[-1] > mags[0]:
+        verdict = "diverging"
+        note = (f"term magnitudes rose over 5 consecutive orders and ended "
+                f"above the order-{orders[0]} magnitude")
+    else:
+        streak = 0
+        for i, g, s in zip(orders, mags, partial_floats):
+            streak = streak + 1 if g < tol * max(1.0, abs(s)) else 0
+            if streak == 3:
+                verdict, settled = "converging", i
+                break
+    return {"terms": terms, "floats": floats, "partials": partials,
+            "partial_floats": partial_floats, "verdict": verdict,
+            "settled_at": settled, "note": note}
+
+
 def taylor_coeffs(f, n):
     """Taylor coefficients of f about u = 1, orders 0..n."""
     return mp.taylor(f, 1, n)

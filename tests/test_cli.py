@@ -425,6 +425,21 @@ class TestExactCommand:
 
 
 class TestBatchCommand:
+    def test_alternating_infinite_terms_print_inf(self, capsys):
+        # kl and js terms alternate +-inf from order 26 on this pair
+        spec = ('{"kind": "aef", "family": "poisson", '
+                '"theta_p": [1.1948332514741775], '
+                '"theta_q": [1.4042020765974514]}')
+        code, out, err = run(capsys, "batch", "--spec", spec,
+                             "--generators", "kl,js", "-k", "30")
+        assert code == 0
+        assert out == "generator,value\nkl,inf\njs,inf\n"
+        code, out, err = run(capsys, "expand", "--spec", spec,
+                             "--generator", "kl", "-k", "30")
+        _, rows = rows_of(out)
+        assert [row[2] for row in rows[24:]] == ["inf"] * 5
+        assert "value=inf note=order-26 term is non-finite" in err
+
     def test_eight_generators_one_basis(self, capsys):
         gens = "kl,rkl,jeffreys,js,harmonic,exp,alpha:3,alpha:5"
         code, out, err = run(capsys, "batch", "--spec", WORKED_SPEC,

@@ -367,8 +367,23 @@ class TestConvergeVerdicts:
         rep = converge(kl(), discrete_pair(p, q), 6)
         assert rep.verdict == "diverging"
         assert rep.note == "order-2 term is non-finite"
-        # alternating infinite terms leave a non-finite accumulated value
-        assert not math.isfinite(float(rep.value))
+        # the terms alternate +-inf; the partial sums stop at the first
+        assert rep.partials == (math.inf,) * 5
+
+    def test_partial_sums_stop_at_the_first_infinity(self):
+        # the deep-orders bench's seed-1 poisson pair: kl and js terms
+        # alternate +-inf from order 26, where the sums read NaN before
+        pair = load_pair_spec({"kind": "aef", "family": "poisson",
+                               "theta_p": [1.1948332514741775],
+                               "theta_q": [1.4042020765974514]})
+        reports = batch_evaluate(pair, [kl(), jensen_shannon()], 64)
+        for rep in reports.values():
+            assert rep.verdict == "diverging"
+            assert rep.note == "order-26 term is non-finite"
+            cut = rep.orders.index(26)
+            assert all(map(math.isfinite, rep.partials[:cut]))
+            assert rep.partials[cut:] == (math.inf,) * (len(rep.orders) - cut)
+            assert rep.value == math.inf
 
     def test_basis_failure_reported(self):
         pair = PairSpec(kind="aef", fam=trunc_exp(0.0),
@@ -632,20 +647,55 @@ class TestAlphaOdd:
             alpha_odd_expansion(alpha, WORKED)
 
 
-# A close two-component gaussian mixture at k = 16.  Its closed-form chi
-# values from order 5 on are float noise near 1e-14, and kl settles at
-# order 6 on 2.0094950e-07 where quadrature gives 2.0094913e-07 +- 1.1e-15:
-# 1.8e-6 relative, past the 1e-6 an uncapped converging value may miss by.
-# Chi values that carry their error will flip this.
+# Close mixtures of the deep-orders bench workload, by seed: (family, k,
+# theta_p, weights, thetas).  Their closed-form chi values from about
+# order 5 on are float noise, and kl settles on it.  At seed 7 it settles
+# at order 6 on 2.0094950e-07 where quadrature gives 2.0094913e-07
+# +- 1.1e-15: 1.8e-6 relative, past the 1e-6 an uncapped converging value
+# may miss by.  The others miss by 1.1e-6 to 1.1e-5.  These are the
+# bench's only failing requests over seeds 0-199, and a bench run at any
+# of these seeds reads correct: false.  Chi values that carry their error
+# will flip them.
+CLOSE_MIXTURES = {
+    7: ("gaussian_iso", 16, [0.19618055501495046],
+        [0.5657532509378514, 0.4342467490621485],
+        [[0.17240964652819313], [0.2262630727916855]]),
+    41: ("gaussian_iso", 16, [0.013986120899488808],
+         [0.3897814459270412, 0.6102185540729588],
+         [[-0.025155587449362762], [0.04212059157295492]]),
+    63: ("poisson", 16, [0.20624908558466412],
+         [0.32031614858283697, 0.4084860170692674, 0.2711978343478956],
+         [[0.3408717606325987], [0.031329931924922026],
+          [0.208661562067588]]),
+    88: ("gaussian_iso", 12, [0.3277829419071874],
+         [0.3646836221971693, 0.6353163778028307],
+         [[0.3124910430313617], [0.33613324621115115]]),
+    112: ("gaussian_iso", 16, [-0.01808601134853527],
+          [0.5416593560402606, 0.45834064395973934],
+          [[-0.03990660978182964], [0.009608144786715636]]),
+    125: ("gaussian_iso", 14, [-0.09911194124612688],
+          [0.5111363933349335, 0.48886360666506656],
+          [[-0.08006986689055769], [-0.11933351825312044]]),
+    154: ("gaussian_iso", 14, [0.05844724871345086],
+          [0.530779887431307, 0.46922011256869295],
+          [[0.07973530352044776], [0.034654390364100555]]),
+    170: ("gaussian_iso", 16, [0.06294584744503195],
+          [0.6156402138584098, 0.3843597861415903],
+          [[0.08001353150384555], [0.0367089827999807]]),
+}
+
+
 @pytest.mark.xfail(strict=True, reason="float noise in closed-form chi "
                    "values reads as converged (chi values carry no error)")
-def test_kl_on_a_close_gaussian_mixture_converges_to_quadrature():
+@pytest.mark.parametrize("family, k, theta_p, weights, thetas",
+                         list(CLOSE_MIXTURES.values()),
+                         ids=[f"seed{s}" for s in CLOSE_MIXTURES])
+def test_kl_on_a_close_gaussian_mixture_converges_to_quadrature(
+        family, k, theta_p, weights, thetas):
     pair = load_pair_spec({
-        "kind": "mixture", "family": "gaussian_iso",
-        "theta_p": [0.19618055501495046],
-        "weights": [0.5657532509378514, 0.4342467490621485],
-        "thetas": [[0.17240964652819313], [0.2262630727916855]]})
-    report = batch_evaluate(pair, [kl()], 16)["kl"]
+        "kind": "mixture", "family": family, "theta_p": theta_p,
+        "weights": weights, "thetas": thetas})
+    report = batch_evaluate(pair, [kl()], k)["kl"]
     value, err_est = reference.quadrature_f_divergence(kl(), pair)
     assert report.remainder_bounds[-1] == math.inf
     if report.verdict == "converging":

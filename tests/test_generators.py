@@ -481,18 +481,37 @@ def test_remainder_bound_is_the_report_cap(gen, m, M):
         remainder_bound(gen, k, bounds) for k in report.orders)
 
 
+def test_alpha_names_do_not_depend_on_call_order():
+    # 0.5 == Fraction(1, 2) and their hashes agree, yet each names its own
+    # generator whichever is asked for first
+    for first, second in (("alpha:1/2", "alpha:0.5"),
+                          ("alpha:0.5", "alpha:1/2")):
+        assert [from_spec(s).name for s in (first, second)] == [first, second]
+    assert type(from_spec("alpha:0.5").alpha) is float
+    assert from_spec("alpha:1/2").alpha == Fraction(1, 2)
+    assert type(alpha_generator(Fraction(1, 2)).alpha) is Fraction
+
+
 @pytest.mark.parametrize("gen", [g for g, _ in SCALAR_SUPS],
                          ids=[g.name for g, _ in SCALAR_SUPS])
 def test_coeff_table_holds_each_coefficient(gen):
     table = gen.coeff_table(40)
     assert gen.coeff_table(40) is table
+    q, heads = table.ints
+    assert Fraction(heads[0], q) == gen.f_at_one
     for i in range(2, 41):
         c = gen.coeff(i)
-        exact, cf, zero = (col[i - 2] for col in table)
+        exact, cf, zero = (col[i - 2] for col in table[:3])
         assert exact == (Fraction(c) if isinstance(c, (int, Fraction))
                          else None)
         assert type(cf) is float and cf == float(c)
         assert zero == (c == 0)
+        if exact is not None:
+            assert Fraction(heads[i - 1], q) == exact
+    # the prefix stops at the first nonzero float coefficient
+    assert len(heads) - 1 == next(
+        (n for n, (x, z) in enumerate(zip(table.exact, table.zeros))
+         if x is None and not z), len(table.exact))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +595,7 @@ TABLE_CASES = (
                          ids=[gen.name for gen, _, _ in TABLE_CASES])
 def test_table_equals_the_per_order_formula(gen, old, base):
     want = [old(i) for i in range(2, 65)]
-    exact, floats, _ = gen.coeff_table(64)
+    exact, floats, _, _ = gen.coeff_table(64)
     tabled = [f if x is None else x for x, f in zip(exact, floats)][:63]
     for got in ([gen.coeff(i) for i in range(2, 65)], tabled,
                 want if base is None else conjugate_coeffs(base, 64)):
@@ -590,9 +609,13 @@ def test_one_table_grows_and_keeps_its_prefixes():
         small = gen.coeff_table(12)
         big = gen.coeff_table(64)
         assert gen.coeff_table(20) is big
-        for short, full in zip(small, big):
+        for short, full in zip(small[:3], big[:3]):
             assert len(short) >= 11 and len(full) >= 63
             assert full[:len(short)] == short
+        if small.ints is not None:
+            (q_s, p_s), (q_b, p_b) = small.ints, big.ints
+            assert [Fraction(p, q_b) for p in p_b[:len(p_s)]] == \
+                [Fraction(p, q_s) for p in p_s]
     cg = conjugate_generator(kl(), 20)
     assert cg.coeff(20) == reverse_kl().coeff(20)
     with pytest.raises(ValueError):

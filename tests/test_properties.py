@@ -1,6 +1,8 @@
 """Property tests over generated inputs; conftest derandomizes hypothesis."""
 
+import io
 import math
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -14,6 +16,7 @@ import oracles
 from fchi import chi, families
 from fchi._num import safe_exp
 from fchi.chi import (
+    ChiBasis,
     _discrete_values,
     _log_ratio_shift,
     chi_abs_discrete,
@@ -25,6 +28,8 @@ from fchi.chi import (
     compute_basis,
 )
 from fchi.errors import DivergenceError, InputError, OverflowSaturationError
+from fchi.expansion import (_partial_sums, batch_evaluate, chi_expansion,
+                            converge)
 from fchi.families import (
     DiscreteDistribution,
     MixtureSpec,
@@ -36,12 +41,14 @@ from fchi.families import (
     vmf,
 )
 from fchi.generators import (
+    alpha_generator,
     conjugate_coeffs,
     conjugate_generator,
     from_spec,
     generalized_binomial,
     polynomial_generator,
 )
+from fchi.reference import exact_f_divergence_discrete
 
 poly_coeffs = st.lists(
     st.fractions(min_value=-10, max_value=10, max_denominator=12),
@@ -461,9 +468,16 @@ def repeated_ratio_pairs(draw):
 def test_merged_bases_equal_the_per_atom_sum(pq, orders, lam, absolute):
     p, q = pq
     orders = sorted(orders)
-    got = _discrete_values(orders, lam, p, q, absolute)
+    got, form = _discrete_values(orders, lam, p, q, absolute)
     assert _typed(got) == _typed(
         oracles.chi_power_exact(orders, lam, p.probs, q.probs, absolute))
+    # the integer form the exact expansions sum in: A_i / (V L^i)
+    if form is None:
+        assert any(ps == 0 < qs for ps, qs in zip(p.probs, q.probs))
+    else:
+        big_l, v, nums = form
+        assert [Fraction(a, v * big_l ** i) for a, i in zip(nums, orders)] \
+            == got
 
 
 def _work_estimate(p, q, lam, top):
@@ -490,3 +504,122 @@ def test_exact_budget_refuses_exactly_over_its_estimate(pq, top, lam, data):
                 _discrete_values([top], lam, p, q)
         else:
             _discrete_values([top], lam, p, q)
+
+
+# ---------------------------------------------------------------------------
+# exact expansions, summed in integers, against plain Fraction accumulation
+
+
+@st.composite
+def small_rational_pairs(draw):
+    """Rational pairs on 2-8 atoms; an atom may be empty on either side or
+    both (p_s = 0 < q_s makes a stray), and a fifth of the pairs have
+    p = q."""
+    n = draw(st.integers(2, 8))
+    counts = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    wp = draw(counts)
+    wq = wp if draw(st.integers(0, 4)) == 0 else draw(counts)
+    assume(any(wp) and any(wq))
+    return PairSpec(kind="discrete", p=DiscreteDistribution(
+        [Fraction(w, sum(wp)) for w in wp]), q=DiscreteDistribution(
+        [Fraction(w, sum(wq)) for w in wq]))
+
+
+_named = st.sampled_from(["kl", "rkl", "jeffreys", "js", "harmonic", "exp",
+                          "alpha:3", "alpha:5", "alpha:7", "alpha:-3",
+                          "alpha:0.5", "alpha:-0.5", "alpha:2"]).map(from_spec)
+expansion_generators = st.one_of(
+    _named, poly_coeffs.map(polynomial_generator),
+    st.one_of(_named, poly_coeffs.map(polynomial_generator)).map(
+        lambda g: conjugate_generator(g, 40)))
+
+# ints (an aef basis of p = q holds int zeros), rationals of about unit
+# size, and some past float range either way
+chi_values = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=50),
+    st.builds(lambda n, e: Fraction(n) * 10 ** e, st.integers(-9, 9),
+              st.integers(300, 400)),
+    st.builds(lambda n, e: Fraction(n, 10 ** e), st.integers(-9, 9),
+              st.integers(300, 400)))
+
+
+def _same(a, b) -> bool:
+    """Equal with equal types, elementwise; NaN equals NaN."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
+def _assert_the_oracle(gen, basis, reports):
+    want = oracles.expansion_by_fractions(gen, basis)
+    terms, floats, sums, sum_floats = _partial_sums(gen, basis)
+    assert _same(terms, want["terms"])
+    assert _same(floats, want["floats"])
+    assert _same(sums[1:], want["partials"])
+    assert _same(sum_floats, want["partial_floats"])
+    assert _same(chi_expansion(gen, basis), want["partials"][-1])
+    for rep in reports:
+        assert _same(rep.terms, tuple(want["terms"]))
+        assert _same(rep.partials, tuple(want["partials"]))
+        assert _same(rep.value, want["partials"][-1])
+        assert (rep.verdict, rep.settled_at, rep.note) == (
+            want["verdict"], want["settled_at"], want["note"])
+    return want
+
+
+@settings(max_examples=80)
+@given(small_rational_pairs(), expansion_generators, st.integers(2, 40))
+def test_expansions_on_rational_pairs_equal_the_fraction_oracle(pair, gen, k):
+    basis = compute_basis(pair, k)
+    reports = [] if k < 4 else [converge(gen, basis),
+                                batch_evaluate(pair, [gen], k)[gen.name]]
+    _assert_the_oracle(gen, basis, reports)
+
+
+@settings(max_examples=80)
+@given(expansion_generators, st.integers(2, 40), st.data())
+def test_hand_built_and_csv_bases_equal_the_fraction_oracle(gen, k, data):
+    # a float value at an order whose coefficient vanishes has a 0.0 term,
+    # and puts the whole expansion on the float route
+    values = []
+    for i in range(2, k + 1):
+        if gen.coeff(i) == 0 and data.draw(st.integers(0, 3)) == 0:
+            values.append(data.draw(st.sampled_from([0.5, -2.0, math.inf])))
+        else:
+            values.append(data.draw(chi_values))
+    basis = ChiBasis(lam=1, orders=tuple(range(2, k + 1)),
+                     values=tuple(values))
+    text = io.StringIO()
+    basis.to_csv(text, rational=data.draw(st.booleans()))
+    text.seek(0)
+    for b in (basis, ChiBasis.from_csv(text)):
+        want = _assert_the_oracle(gen, b,
+                                  [converge(gen, b)] if k >= 4 else [])
+        # a partial sum past float range reads as a signed infinity
+        for s, f in zip(want["partials"], want["partial_floats"]):
+            if abs(s) > sys.float_info.max:
+                assert f == (math.inf if s > 0 else -math.inf)
+
+
+@settings(max_examples=60)
+@given(small_rational_pairs(),
+       st.one_of(poly_coeffs.map(lambda a: (a, polynomial_generator(a))),
+                 st.sampled_from([3, 5, 7]).map(
+                     lambda a: (a, alpha_generator(a)))),
+       st.integers(2, 40))
+def test_finite_expansions_are_the_divergence(pair, case, k):
+    # a polynomial's coefficients vanish past its degree and odd alpha's
+    # past (alpha + 1) / 2, so the truncation there is the divergence
+    p, q = pair.p.probs, pair.q.probs
+    assume(all(ps > 0 for ps in p))
+    param, gen = case
+    if isinstance(param, int):
+        assume(k >= (param + 1) // 2)
+        g = (1 + param) // 2
+        want = Fraction(4, 1 - param * param) * (
+            1 - sum(ps * (qs / ps) ** g for ps, qs in zip(p, q)))
+    else:
+        assume(k >= len(param) - 1)
+        want = exact_f_divergence_discrete(gen, pair.p, pair.q)
+    got = chi_expansion(gen, compute_basis(pair, k))
+    assert type(got) is Fraction and got == want
