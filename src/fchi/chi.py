@@ -16,7 +16,10 @@ first two form their per-pair state once and serve any number of orders:
   refused with InputError before any power is formed;
 * one closed form for affine exponential families: order i is the
   binomial transform of the moments M_j = E_p[(q/p)^j], log-normalizer
-  gaps summed over the compositions of j into the components of q;
+  gaps summed over the compositions of j into the components of q.  The
+  compositions come from one table per component count, shared by every
+  pair, and each order runs as C-level maps over lists, with the float
+  operations of a term-by-term loop in the same order;
 * a numeric cross-check for families with a density: the power is
   formed in log space and the family's own integrate sums or integrates
   it, the same route quadrature_f_divergence takes.
@@ -36,9 +39,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import repeat
+from operator import add, mul, neg, sub
+from typing import NamedTuple, Optional, Union
 
 from ._num import (
     MAX_EXP_ARG,
@@ -211,27 +217,33 @@ def chi_abs_discrete(i: int, lam: Number, p: DiscreteDistribution,
 _CANCEL_FLOOR = 1e-12
 
 
-def _signed_logsum(factors, logs, what: str):
+def _signed_logsum(factors, logs, order) -> float:
     """Sum terms factor_t * e^(log_t), tolerating magnitudes beyond floats.
 
-    While every term fits in float range this is a plain fsum of exps.
-    Otherwise the sum is rescaled by the peak magnitude; a result whose
-    rescaled value still overflows comes back as a signed infinity.  The
-    only unresolvable case is near-total cancellation at a scale floats
-    cannot represent, which raises OverflowSaturationError rather than
-    guessing a sign.
+    Terms with a zero factor or a -inf log drop out.  While every term
+    fits in float range this is a plain fsum of exps, run as C-level maps
+    over the two lists.  Otherwise the sum is rescaled by the peak
+    magnitude; a result whose rescaled value still overflows comes back
+    as a signed infinity.  The only unresolvable case is near-total
+    cancellation at a scale floats cannot represent, which raises
+    OverflowSaturationError naming the chi order rather than guessing a
+    sign.
     """
-    pairs = [(s, l) for s, l in zip(factors, logs) if s != 0 and l != -math.inf]
-    if not pairs:
+    if 0 in factors or -math.inf in logs:
+        keep = [s != 0 and l != -math.inf for s, l in zip(factors, logs)]
+        factors = list(itertools.compress(factors, keep))
+        logs = list(itertools.compress(logs, keep))
+    if not factors:
         return 0.0
-    top = max(l for _, l in pairs)
+    top = max(logs)
     if top <= MAX_EXP_ARG:
-        return math.fsum(s * math.exp(l) for s, l in pairs)
-    scaled = math.fsum(s * math.exp(l - top) for s, l in pairs)
+        return math.fsum(map(mul, factors, map(math.exp, logs)))
+    scaled = math.fsum(map(mul, factors,
+                           map(math.exp, map(sub, logs, repeat(top)))))
     if abs(scaled) < _CANCEL_FLOOR:
         raise OverflowSaturationError(
-            f"{what} cancels beyond float resolution at peak log magnitude "
-            f"{top:.6g}; the result cannot be represented"
+            f"order-{order} chi term cancels beyond float resolution at peak "
+            f"log magnitude {top:.6g}; the result cannot be represented"
         )
     log_total = top + math.log(abs(scaled))
     if log_total > MAX_EXP_ARG:
@@ -265,32 +277,127 @@ def _check_vertices(i: int, fam: AefFamily, tp, comps, mixture: bool) -> None:
             )
 
 
-def _moments(fam: AefFamily, tp, comps):
-    """Yield M_j = E_p[(q/p)^j] for j = 0, 1, ... as (top, s), M_j = s e^top.
+class _Compositions(NamedTuple):
+    """The compositions of j = 2..top into `parts` counts, as index tables.
+
+    Level d < parts - 1 lists every prefix (k_0, ..., k_d) whose sum is
+    at most top, by sum and then in the order compositions() yields
+    them; the last level lists the compositions, by j and then in that
+    order.  An entry is its parent prefix's index on the level above (0,
+    the root, on level 0) and its own count.  ends[d][j] is how many
+    entries of level d have a sum of at most j.  columns[c], the log
+    multinomial coefficients and 1 - j run along the compositions.  Each
+    of these runs is an array, a machine int or float per entry, so a
+    table costs a few dozen bytes per composition.
+    """
+
+    top: int
+    levels: tuple
+    ends: tuple
+    columns: tuple
+    log_multinomials: array
+    one_minus_j: array
+
+
+def _build_compositions(parts: int, top: int) -> _Compositions:
+    """The table of the compositions of j = 2..top into `parts` counts.
+
+    Each composition goes straight into the arrays, so building the
+    table holds no tuple per composition.
+    """
+    levels, ends, index = [], [], {(): 0}
+    for d in range(1, parts):
+        prefixes, parents, counts, upto = {}, array("l"), array("l"), []
+        for total in range(top + 1):
+            for prefix in compositions(total, d):
+                prefixes[prefix] = len(prefixes)
+                parents.append(index[prefix[:-1]])
+                counts.append(prefix[-1])
+            upto.append(len(prefixes))
+        levels.append((parents, counts))
+        ends.append(tuple(upto))
+        index = prefixes
+    parents, counts, upto = array("l"), array("l"), [0, 0]
+    columns = tuple(array("l") for _ in range(parts))
+    log_multinomials, one_minus_j = array("d"), array("l")
+    for j in range(2, top + 1):
+        for comp in compositions(j, parts):
+            parents.append(index[comp[:-1]])
+            counts.append(comp[-1])
+            for column, k in zip(columns, comp):
+                column.append(k)
+            log_multinomials.append(math.log(multinomial(comp)))
+            one_minus_j.append(1 - j)
+        upto.append(len(counts))
+    levels.append((parents, counts))
+    ends.append(tuple(upto))
+    return _Compositions(top, tuple(levels), tuple(ends), columns,
+                         log_multinomials, one_minus_j)
+
+
+# one table per component count, shared by every pair and rebuilt when a
+# caller needs a higher j; orders past the composition budget never ask
+_COMPOSITIONS: dict = {}
+
+
+def _composition_table(parts: int, top: int) -> _Compositions:
+    """The shared table for `parts` components, reaching j = top at least."""
+    table = _COMPOSITIONS.get(parts)
+    if table is None or table.top < top:
+        table = _COMPOSITIONS[parts] = _build_compositions(parts, top)
+    return table
+
+
+def _moments(fam: AefFamily, tp, comps, reach: int):
+    """Yield M_j = E_p[(q/p)^j] for j = 0, 1, ..., reach as (top, s),
+    M_j = s e^top.
 
     Composition k of j contributes multinomial(k) prod_c w_c^k_c e^E with
     E = F(theta) - (1 - j) F(theta_p) - sum_c k_c F(theta_c) at theta =
     theta_p + sum_c k_c (theta_c - theta_p); M_0 and M_1 need no F.
+    theta, the gap and the log weight each fold left over the components
+    for every composition up to reach at once, as C-level maps over the
+    composition table: theta once per prefix and coordinate, so
+    compositions with the same head share its fold, and the gap and the
+    log weight, whose first terms differ by composition, down the
+    columns.  The steps k (theta_c - theta_p), k F(theta_c) and
+    k log w_c are formed once per pair and k.  A zero count steps by
+    -0.0, which leaves every float as it is (x + -0.0 is x, for x = -0.0
+    and NaN too), so each fold gives the bits of one that skips zero
+    counts.  F(theta) runs lazily, one j at a time as the orders ask.
     """
     f_p = fam.log_normalizer(tp)
-    parts = [(tuple(c - a for a, c in zip(tp, tc)), fam.log_normalizer(tc),
-              math.log(w)) for w, tc in comps]
+    counts = range(1, reach + 1)
+    # per component, the steps of each theta coordinate, of the gap and of
+    # the log weight: entry k is the step at count k
+    steps = [[[-0.0, *map(mul, counts, repeat(x))] for x in
+              (*map(sub, tc, tp), fam.log_normalizer(tc), math.log(w))]
+             for w, tc in comps]
     yield 0.0, 1.0
     yield 0.0, math.fsum(w for w, _ in comps)
-    for j in itertools.count(2):
-        logs = []
-        for counts in compositions(j, len(parts)):
-            theta = tp
-            gap = (1 - j) * f_p
-            log_w = math.log(multinomial(counts))
-            for k, (delta, f_c, log_w_c) in zip(counts, parts):
-                if k:
-                    theta = tuple(t + k * e for t, e in zip(theta, delta))
-                    gap += k * f_c
-                    log_w += k * log_w_c
-            logs.append(log_w + (fam.log_normalizer(theta) - gap))
-        top = max(logs)
-        yield top, math.fsum(math.exp(l - top) for l in logs)
+    if reach < 2:
+        return
+    table = _composition_table(len(comps), reach)
+    # theta one coordinate at a time, each a list over the level's entries
+    coords = [[t] for t in tp]
+    for (parents, ks), upto, rows in zip(table.levels, table.ends, steps):
+        parents, ks = parents[:upto[reach]], ks[:upto[reach]]
+        coords = [list(map(add, map(coord.__getitem__, parents),
+                           map(row.__getitem__, ks)))
+                  for coord, row in zip(coords, rows)]
+    # the gap and the log weight as lazy maps, pulled with the logs
+    gaps = map(mul, table.one_minus_j, repeat(f_p))
+    log_ws = table.log_multinomials
+    for column, rows in zip(table.columns, steps):
+        gaps = map(add, gaps, map(rows[-2].__getitem__, column))
+        log_ws = map(add, log_ws, map(rows[-1].__getitem__, column))
+    logs = map(add, log_ws,
+               map(sub, map(fam.log_normalizer, zip(*coords)), gaps))
+    ends = table.ends[-1]
+    for j in range(2, reach + 1):
+        chunk = list(itertools.islice(logs, ends[j] - ends[j - 1]))
+        peak = max(chunk)
+        yield peak, math.fsum(map(math.exp, map(sub, chunk, repeat(peak))))
 
 
 @functools.cache
@@ -303,9 +410,11 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     """Chi terms of p against q, a member or a MixtureSpec of fam.
 
     Per order: the vertex check, the exact (1 - lam)^i when p = q, the
-    composition budget, then moments up to i, each formed once.  The
-    binomial row comes from a cache shared by every pair and the signs
-    (-1)^(i - j) from parity.
+    composition budget, then moments up to i, each formed once.  Term n
+    of order i has the log C(i, i - n) + n log|lam| + log M_(i - n), from
+    the binomial row cached for every pair and the multiples of log|lam|
+    formed once per call, and the sign (-1)^n when lam > 0; the terms
+    are C-level maps over those lists.
     """
     orders = [check_int(i, 1, "chi order") for i in orders]
     lam = _check_lam(lam)
@@ -314,17 +423,23 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     mixture = isinstance(q, MixtureSpec)
     sign = -1 if lam > 0 else 1
     log_abs_lam = math.log(abs(check_float(lam, "anchor lam")))
-    stream = _moments(fam, tp, comps)
+    parts = len(comps)
+    # the moments stop at the highest order within the composition budget
+    reach = max((i for i in orders
+                 if math.comb(i + parts, parts) <= _COMPOSITION_BUDGET),
+                default=0)
+    lam_logs = list(map(mul, range(reach + 1), repeat(log_abs_lam)))
+    stream = _moments(fam, tp, comps, reach)
     tops, sums, values = [], [], []
     for i in orders:
         _check_vertices(i, fam, tp, comps, mixture)
         if not mixture and tp == comps[0][1]:
             values.append((1 - lam) ** i)
             continue
-        count = math.comb(i + len(comps), len(comps))
+        count = math.comb(i + parts, parts)
         if count > _COMPOSITION_BUDGET:
             raise InputError(
-                f"an order-{i} chi term of a {len(comps)}-component mixture "
+                f"an order-{i} chi term of a {parts}-component mixture "
                 f"expands into {count} compositions, over the composition "
                 f"budget of {_COMPOSITION_BUDGET}; lower the order or the "
                 f"components"
@@ -335,10 +450,10 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
         # entry n of each list belongs to j = i - n
         factors = sums[i::-1]
         if sign < 0:
-            factors[1::2] = [-s for s in factors[1::2]]
-        logs = [c + n * log_abs_lam + t
-                for n, (c, t) in enumerate(zip(_log_comb_row(i), tops[i::-1]))]
-        values.append(_signed_logsum(factors, logs, f"order-{i} chi term"))
+            factors[1::2] = map(neg, factors[1::2])
+        row = map(add, _log_comb_row(i), lam_logs)
+        values.append(_signed_logsum(factors, list(map(add, row, tops[i::-1])),
+                                     i))
     return values
 
 

@@ -710,6 +710,11 @@ class MixtureSpec:
         return self
 
 
+# the fields each pair kind needs
+_PAIR_FIELDS = {"discrete": ("p", "q"), "aef": ("fam", "theta_p", "theta_q"),
+                "mixture": ("fam", "theta_p", "mixture")}
+
+
 @dataclass(frozen=True)
 class PairSpec:
     """A (p, q) pair as described by a JSON spec file.
@@ -717,6 +722,9 @@ class PairSpec:
     kind = "discrete": p and q are DiscreteDistributions.
     kind = "aef": fam plus two natural parameters.
     kind = "mixture": fam, theta_p, and a MixtureSpec for q.
+
+    An unknown kind, or a field its kind needs left as None, raises
+    InputError here, so no layer meets a half-built pair.
     """
 
     kind: str
@@ -726,6 +734,16 @@ class PairSpec:
     theta_p: Optional[tuple] = None
     theta_q: Optional[tuple] = None
     mixture: Optional[MixtureSpec] = None
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _PAIR_FIELDS:
+            raise InputError(f"unknown pair kind {self.kind!r}; expected "
+                             f"discrete, aef or mixture")
+        needed = _PAIR_FIELDS[self.kind]
+        missing = [name for name in needed if getattr(self, name) is None]
+        if missing:
+            raise InputError(f"a {self.kind!r} pair needs {', '.join(needed)}; "
+                             f"{', '.join(missing)} missing")
 
     @property
     def family_q(self):

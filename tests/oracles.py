@@ -3,15 +3,23 @@
 Everything here is computed from scratch, with mpmath at 50 significant
 digits or in exact Fraction arithmetic. The formulas are written out
 directly instead of being routed through fchi, so a bug in the package
-cannot vouch for itself.
+cannot vouch for itself. The one exception is closed_chi_values, a
+reference copy of the closed-form route itself, which reads the family's
+log-normalizer and shares the divergence check with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from fchi._num import MAX_EXP_ARG, check_float, check_int
+from fchi.chi import _check_lam, _check_vertices
+from fchi.errors import InputError, OverflowSaturationError
+from fchi.families import MixtureSpec
 
 mp.mp.dps = 50
 
@@ -220,3 +228,115 @@ def rand_categorical(rng, atoms, unit=60):
     counts = [rng.randint(1, unit) for _ in range(atoms)]
     total = sum(counts)
     return [Fraction(c, total) for c in counts]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form chi route, one Python step per composition and per term
+#
+# A plain copy of the closed form before its per-order and per-composition
+# loops became table lookups and C-level pipelines.  Every float operation
+# of chi._closed_values happens here in the same order, so the two must
+# agree bit for bit, exceptions and their messages included.
+
+def compositions(total, parts):
+    """All ordered tuples of `parts` nonnegative ints summing to `total`."""
+    if parts <= 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def multinomial(counts):
+    out = 1
+    seen = 0
+    for c in counts:
+        seen += c
+        out *= math.comb(seen, c)
+    return out
+
+
+def signed_logsum(factors, logs, what):
+    """Sum of factor_t e^(log_t), rescaled by the peak past float range."""
+    pairs = [(s, l) for s, l in zip(factors, logs) if s != 0 and l != -math.inf]
+    if not pairs:
+        return 0.0
+    top = max(l for _, l in pairs)
+    if top <= MAX_EXP_ARG:
+        return math.fsum(s * math.exp(l) for s, l in pairs)
+    scaled = math.fsum(s * math.exp(l - top) for s, l in pairs)
+    if abs(scaled) < 1e-12:
+        raise OverflowSaturationError(
+            f"{what} cancels beyond float resolution at peak log magnitude "
+            f"{top:.6g}; the result cannot be represented"
+        )
+    log_total = top + math.log(abs(scaled))
+    if log_total > MAX_EXP_ARG:
+        return math.copysign(math.inf, scaled)
+    return math.copysign(math.exp(log_total), scaled)
+
+
+def closed_moments(fam, tp, comps):
+    """Yield (top, s) with M_j = s e^top for j = 0, 1, ..., one
+    log-normalizer call per composition of j over the components."""
+    f_p = fam.log_normalizer(tp)
+    parts = [(tuple(c - a for a, c in zip(tp, tc)), fam.log_normalizer(tc),
+              math.log(w)) for w, tc in comps]
+    yield 0.0, 1.0
+    yield 0.0, math.fsum(w for w, _ in comps)
+    for j in itertools.count(2):
+        logs = []
+        for counts in compositions(j, len(parts)):
+            theta = tp
+            gap = (1 - j) * f_p
+            log_w = math.log(multinomial(counts))
+            for k, (delta, f_c, log_w_c) in zip(counts, parts):
+                if k:
+                    theta = tuple(t + k * e for t, e in zip(theta, delta))
+                    gap += k * f_c
+                    log_w += k * log_w_c
+            logs.append(log_w + (fam.log_normalizer(theta) - gap))
+        top = max(logs)
+        yield top, math.fsum(math.exp(l - top) for l in logs)
+
+
+def closed_chi_values(orders, lam, fam, theta_p, q):
+    """Chi terms of p against q, a member or a MixtureSpec of fam, at the
+    given orders: the signed binomial transform of closed_moments."""
+    orders = [check_int(i, 1, "chi order") for i in orders]
+    lam = _check_lam(lam)
+    tp = fam.theta(theta_p)
+    comps = fam.components(q)
+    mixture = isinstance(q, MixtureSpec)
+    sign = -1 if lam > 0 else 1
+    log_abs_lam = math.log(abs(check_float(lam, "anchor lam")))
+    stream = closed_moments(fam, tp, comps)
+    tops, sums, values = [], [], []
+    for i in orders:
+        _check_vertices(i, fam, tp, comps, mixture)
+        if not mixture and tp == comps[0][1]:
+            values.append((1 - lam) ** i)
+            continue
+        count = math.comb(i + len(comps), len(comps))
+        if count > 10_000:
+            raise InputError(
+                f"an order-{i} chi term of a {len(comps)}-component mixture "
+                f"expands into {count} compositions, over the composition "
+                f"budget of 10000; lower the order or the components"
+            )
+        for top, scaled in itertools.islice(stream, i + 1 - len(tops)):
+            tops.append(top)
+            sums.append(scaled)
+        factors = sums[i::-1]
+        if sign < 0:
+            factors[1::2] = [-s for s in factors[1::2]]
+        row = [math.log(math.comb(i, j)) for j in range(i, -1, -1)]
+        logs = [c + n * log_abs_lam + t
+                for n, (c, t) in enumerate(zip(row, tops[i::-1]))]
+        values.append(signed_logsum(factors, logs, f"order-{i} chi term"))
+    return values

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
-from fchi import DivergenceError, InputError, OverflowSaturationError
+from fchi import DivergenceError, InputError, OverflowSaturationError, chi
+from fchi._num import compositions, multinomial
 from fchi.chi import (
     ChiBasis,
     basis_build_count,
@@ -368,6 +369,58 @@ class TestMixture:
                                              "composition budget of 10000"):
             compute_basis(pair, 20)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_refused_order_builds_no_composition_table(self, monkeypatch):
+        fam = gaussian_iso(1)
+        mix = MixtureSpec([0.2] * 5, ([-0.4], [-0.2], [0.1], [0.3], [0.5]))
+        pair = PairSpec(kind="mixture", fam=fam, theta_p=fam.theta([0.0]),
+                        mixture=mix)
+        refusal = ("an order-14 chi term of a 5-component mixture expands "
+                   "into 11628 compositions, over the composition budget of "
+                   "10000; lower the order or the components")
+        monkeypatch.setattr(chi, "_COMPOSITIONS", {})
+        with pytest.raises(InputError) as err:
+            compute_basis(pair, 20)
+        assert str(err.value) == refusal
+        # orders 2-13 ran and share one table, which stops short of 14
+        assert chi._COMPOSITIONS[5].top == 13
+        monkeypatch.setattr(chi, "_COMPOSITIONS", {})
+        with pytest.raises(InputError) as err:
+            chi_pm_mixture(14, 1, fam, [0.0], mix)
+        assert str(err.value) == refusal
+        assert chi._COMPOSITIONS == {}
+
+    @pytest.mark.parametrize("parts,top", [(1, 6), (2, 7), (3, 6), (4, 5)])
+    def test_composition_table_lists_each_composition(self, parts, top):
+        table = chi._build_compositions(parts, top)
+        assert table.ends[-1][top] == len(table.one_minus_j)
+        for j in range(2, top + 1):
+            want = list(compositions(j, parts))
+            first, last = table.ends[-1][j - 1], table.ends[-1][j]
+            got = list(zip(*table.columns))[first:last]
+            assert got == want
+            assert list(table.log_multinomials[first:last]) == [
+                math.log(multinomial(c)) for c in want]
+            assert list(table.one_minus_j[first:last]) == [1 - j] * len(want)
+        # each entry's parent chain spells out its composition's prefixes
+        prefixes = [()]
+        for (parents, counts), ends in zip(table.levels, table.ends):
+            prefixes = [prefixes[n] + (k,) for n, k in zip(parents, counts)]
+            assert all(sum(c) <= top for c in prefixes)
+            assert len(set(prefixes)) == len(prefixes) == ends[-1]
+        assert prefixes == list(zip(*table.columns))
+
+    def test_pairs_share_one_composition_table(self, monkeypatch):
+        fam = poisson()
+        monkeypatch.setattr(chi, "_COMPOSITIONS", {})
+        for rates in ((1.2, 1.8), (2.5, 0.9)):
+            chi_pm_mixture(6, 1, fam, [0.0], MixtureSpec(
+                [0.5, 0.5], [[math.log(r)] for r in rates]))
+        assert list(chi._COMPOSITIONS) == [2]
+        table = chi._COMPOSITIONS[2]
+        chi_pm_mixture(4, -0.5, fam, [0.3], MixtureSpec([0.4, 0.6],
+                                                        ([0.1], [0.5])))
+        assert chi._COMPOSITIONS[2] is table
 
     @pytest.mark.parametrize(
         "fam,tp,mix,lam",

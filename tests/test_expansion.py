@@ -132,9 +132,9 @@ class TestPairRatioBounds:
         assert rb.M == math.inf
 
     def test_unknown_kind(self):
-        pair = PairSpec(kind="surprise")
-        with pytest.raises(InputError):
-            pair_ratio_bounds(pair)
+        # the pair itself refuses the kind, before any layer reads it
+        with pytest.raises(InputError, match="unknown pair kind"):
+            pair_ratio_bounds(PairSpec(kind="surprise"))
 
 
 class TestExpansionTerms:

@@ -8,7 +8,8 @@ import pytest
 from scipy import stats
 
 import oracles
-from fchi import InputError
+from fchi import (InputError, compute_basis, kl, provenance,
+                  quadrature_f_divergence)
 from fchi.families import (
     DiscreteDistribution,
     MixtureSpec,
@@ -455,3 +456,61 @@ class TestLoadPairSpec:
             load_pair_spec("{not json")
         with pytest.raises(InputError):
             load_pair_spec(str(tmp_path / "missing.json"))
+
+
+class TestPairSpec:
+    """A PairSpec is refused when built, not in whichever layer reads it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: provenance(PairSpec(kind="bogus")),
+            lambda: PairSpec(kind="bogus").describe(),
+            lambda: quadrature_f_divergence(kl(), PairSpec(kind="bogus")),
+            lambda: compute_basis(PairSpec(kind="bogus"), 4),
+        ],
+        ids=["provenance", "describe", "quadrature_f_divergence",
+             "compute_basis"],
+    )
+    def test_unknown_kind_is_one_input_error(self, call):
+        with pytest.raises(InputError, match="unknown pair kind 'bogus'; "
+                                             "expected discrete, aef or "
+                                             "mixture"):
+            call()
+
+    def test_compute_basis_on_a_discrete_pair_without_fields(self):
+        with pytest.raises(InputError, match="a 'discrete' pair needs p, q; "
+                                             "p, q missing"):
+            compute_basis(PairSpec(kind="discrete"), 4)
+
+    @pytest.mark.parametrize(
+        "fields,missing",
+        [
+            ({"kind": "discrete", "p": bernoulli(0.5)}, "q missing"),
+            ({"kind": "aef", "fam": poisson(), "theta_p": (0.0,)},
+             "theta_q missing"),
+            ({"kind": "aef", "theta_p": (0.0,), "theta_q": (0.1,)},
+             "fam missing"),
+            ({"kind": "mixture", "fam": poisson(), "theta_p": (0.0,),
+              "theta_q": (0.1,)}, "mixture missing"),
+            ({"kind": "mixture", "fam": poisson(),
+              "mixture": MixtureSpec([1.0], ([0.1],))}, "theta_p missing"),
+        ],
+    )
+    def test_missing_field_names_it(self, fields, missing):
+        with pytest.raises(InputError, match=missing):
+            PairSpec(**fields)
+
+    def test_non_string_kind(self):
+        with pytest.raises(InputError, match="unknown pair kind"):
+            PairSpec(kind=["aef"])
+
+    def test_complete_pairs_build(self):
+        fam = poisson()
+        for pair in (
+            PairSpec(kind="discrete", p=bernoulli(0.5), q=bernoulli(0.4)),
+            PairSpec(kind="aef", fam=fam, theta_p=(0.0,), theta_q=(0.1,)),
+            PairSpec(kind="mixture", fam=fam, theta_p=(0.0,),
+                     mixture=MixtureSpec([1.0], ([0.1],))),
+        ):
+            assert pair.describe()

@@ -24,6 +24,7 @@ from fchi.chi import (
     chi_pm_aef,
     chi_pm_discrete,
     chi_pm_mixture,
+    chi_pm_orders,
     chi_pm_quadrature,
     compute_basis,
 )
@@ -384,6 +385,74 @@ def test_aef_basis_is_each_order_bit_for_bit(case, k, lam):
 @given(mixture_bases(), basis_anchors)
 def test_mixture_basis_is_each_order_bit_for_bit(case, lam):
     _assert_basis_is_each_order(*case, lam)
+
+
+# ---------------------------------------------------------------------------
+# the closed form against its per-term reference copy
+
+
+_CLOSED_KINDS = ["gaussian1", "gaussian3", "poisson", "categorical",
+                 "singly", "doubly", "vmf"]
+
+
+@st.composite
+def closed_form_specs(draw, kind):
+    """p and q of one closed-form family: q a member or a 2-3 component
+    mixture, far from p, close to it or equal to it."""
+    if kind in ("gaussian1", "gaussian3"):
+        fam = gaussian_iso(1 if kind == "gaussian1" else 3)
+        tp = draw(_vector(fam.dim, -1.0, 1.0))
+    elif kind == "poisson":
+        fam, tp = poisson(), [math.log(draw(st.floats(0.5, 5.0)))]
+    elif kind == "categorical":
+        fam, tp = categorical(3), draw(_vector(3, -2.0, 2.0))
+    elif kind == "singly":
+        fam = trunc_exp(draw(st.floats(0.0, 1.0)))
+        tp = [draw(st.floats(0.5, 3.0))]
+    elif kind == "doubly":
+        a = draw(st.floats(0.0, 1.0))
+        fam = trunc_exp(a, a + draw(st.floats(0.5, 3.0)))
+        tp = [draw(st.floats(-3.0, 3.0))]
+    else:
+        fam, tp = vmf(3), draw(_vector(3, -1.5, 1.5))
+    scale = draw(st.sampled_from([1.0, 0.5, 1e-3, 0]))
+
+    def member():
+        if kind == "singly":
+            # q on either side of p, so some orders diverge
+            return [tp[0] * draw(st.floats(1 - scale / 2, 1 + scale))]
+        return [t + scale * draw(st.floats(-1.0, 1.0)) for t in tp]
+
+    n = draw(st.sampled_from([1, 2, 3]))
+    if n == 1:
+        return PairSpec(kind="aef", fam=fam, theta_p=fam.theta(tp),
+                        theta_q=fam.theta(member()))
+    raw = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    mix = MixtureSpec([w / math.fsum(raw) for w in raw],
+                      [member() for _ in range(n)])
+    return PairSpec(kind="mixture", fam=fam, theta_p=fam.theta(tp),
+                    mixture=mix.validated(fam))
+
+
+def _outcomes(fn):
+    try:
+        return [repr(v) for v in fn()]
+    except Exception as exc:  # the routes must fail alike, whatever fails
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", _CLOSED_KINDS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_closed_form_is_the_per_term_route_bit_for_bit(kind, data):
+    pair = data.draw(closed_form_specs(kind))
+    lo, top = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 64))
+    lam = data.draw(st.sampled_from([1, -0.5, 2.5]))
+    orders = range(lo, top + 1)
+    got = _outcomes(lambda: chi_pm_orders(orders, lam, pair))
+    want = _outcomes(lambda: oracles.closed_chi_values(
+        orders, lam, pair.fam, pair.theta_p, pair.family_q))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
