@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -278,61 +277,32 @@ def _check_vertices(i: int, fam: AefFamily, tp, comps, mixture: bool) -> None:
 
 
 class _Compositions(NamedTuple):
-    """The compositions of j = 2..top into `parts` counts, as index tables.
+    """The compositions of j = 2..top into `parts` counts, as columns.
 
-    Level d < parts - 1 lists every prefix (k_0, ..., k_d) whose sum is
-    at most top, by sum and then in the order compositions() yields
-    them; the last level lists the compositions, by j and then in that
-    order.  An entry is its parent prefix's index on the level above (0,
-    the root, on level 0) and its own count.  ends[d][j] is how many
-    entries of level d have a sum of at most j.  columns[c], the log
-    multinomial coefficients and 1 - j run along the compositions.  Each
-    of these runs is an array, a machine int or float per entry, so a
-    table costs a few dozen bytes per composition.
+    The compositions run by j and then in the order compositions()
+    yields them; ends[j] is how many have a sum of at most j.  columns[c]
+    holds count c of each composition and log_multinomials its log
+    multinomial coefficient, each a tuple with one entry per composition.
     """
 
     top: int
-    levels: tuple
     ends: tuple
     columns: tuple
-    log_multinomials: array
-    one_minus_j: array
+    log_multinomials: tuple
 
 
 def _build_compositions(parts: int, top: int) -> _Compositions:
-    """The table of the compositions of j = 2..top into `parts` counts.
-
-    Each composition goes straight into the arrays, so building the
-    table holds no tuple per composition.
-    """
-    levels, ends, index = [], [], {(): 0}
-    for d in range(1, parts):
-        prefixes, parents, counts, upto = {}, array("l"), array("l"), []
-        for total in range(top + 1):
-            for prefix in compositions(total, d):
-                prefixes[prefix] = len(prefixes)
-                parents.append(index[prefix[:-1]])
-                counts.append(prefix[-1])
-            upto.append(len(prefixes))
-        levels.append((parents, counts))
-        ends.append(tuple(upto))
-        index = prefixes
-    parents, counts, upto = array("l"), array("l"), [0, 0]
-    columns = tuple(array("l") for _ in range(parts))
-    log_multinomials, one_minus_j = array("d"), array("l")
+    """The table of the compositions of j = 2..top into `parts` counts."""
+    columns = [[] for _ in range(parts)]
+    log_multinomials, ends = [], [0, 0]
     for j in range(2, top + 1):
         for comp in compositions(j, parts):
-            parents.append(index[comp[:-1]])
-            counts.append(comp[-1])
             for column, k in zip(columns, comp):
                 column.append(k)
             log_multinomials.append(math.log(multinomial(comp)))
-            one_minus_j.append(1 - j)
-        upto.append(len(counts))
-    levels.append((parents, counts))
-    ends.append(tuple(upto))
-    return _Compositions(top, tuple(levels), tuple(ends), columns,
-                         log_multinomials, one_minus_j)
+        ends.append(len(log_multinomials))
+    return _Compositions(top, tuple(ends), tuple(map(tuple, columns)),
+                         tuple(log_multinomials))
 
 
 # one table per component count, shared by every pair and rebuilt when a
@@ -355,16 +325,14 @@ def _moments(fam: AefFamily, tp, comps, reach: int):
     Composition k of j contributes multinomial(k) prod_c w_c^k_c e^E with
     E = F(theta) - (1 - j) F(theta_p) - sum_c k_c F(theta_c) at theta =
     theta_p + sum_c k_c (theta_c - theta_p); M_0 and M_1 need no F.
-    theta, the gap and the log weight each fold left over the components
-    for every composition up to reach at once, as C-level maps over the
-    composition table: theta once per prefix and coordinate, so
-    compositions with the same head share its fold, and the gap and the
-    log weight, whose first terms differ by composition, down the
-    columns.  The steps k (theta_c - theta_p), k F(theta_c) and
-    k log w_c are formed once per pair and k.  A zero count steps by
-    -0.0, which leaves every float as it is (x + -0.0 is x, for x = -0.0
-    and NaN too), so each fold gives the bits of one that skips zero
-    counts.  F(theta) runs lazily, one j at a time as the orders ask.
+    Each theta coordinate, the gap and the log weight fold left down the
+    columns of the composition table as lazy C-level maps, pulled one j
+    at a time as the orders ask, so F runs in the order a loop over the
+    compositions would call it and no list spans more than one j.  The
+    steps k (theta_c - theta_p), k F(theta_c) and k log w_c are formed
+    once per pair and k.  A zero count steps by -0.0, which leaves every
+    float as it is (x + -0.0 is x, for x = -0.0 and NaN too), so each
+    fold gives the bits of one that skips zero counts.
     """
     f_p = fam.log_normalizer(tp)
     counts = range(1, reach + 1)
@@ -378,24 +346,22 @@ def _moments(fam: AefFamily, tp, comps, reach: int):
     if reach < 2:
         return
     table = _composition_table(len(comps), reach)
-    # theta one coordinate at a time, each a list over the level's entries
-    coords = [[t] for t in tp]
-    for (parents, ks), upto, rows in zip(table.levels, table.ends, steps):
-        parents, ks = parents[:upto[reach]], ks[:upto[reach]]
-        coords = [list(map(add, map(coord.__getitem__, parents),
-                           map(row.__getitem__, ks)))
-                  for coord, row in zip(coords, rows)]
-    # the gap and the log weight as lazy maps, pulled with the logs
-    gaps = map(mul, table.one_minus_j, repeat(f_p))
-    log_ws = table.log_multinomials
+    ends = table.ends
+    sizes = list(map(sub, ends[2:reach + 1], ends[1:reach]))
+    # every composition of j starts its gap at (1 - j) F(theta_p)
+    gaps = itertools.chain.from_iterable(
+        map(repeat, map(mul, range(-1, -reach, -1), repeat(f_p)), sizes))
+    log_ws = iter(table.log_multinomials)
+    coords = [repeat(t) for t in tp]
     for column, rows in zip(table.columns, steps):
+        coords = [map(add, coord, map(row.__getitem__, column))
+                  for coord, row in zip(coords, rows)]
         gaps = map(add, gaps, map(rows[-2].__getitem__, column))
         log_ws = map(add, log_ws, map(rows[-1].__getitem__, column))
     logs = map(add, log_ws,
                map(sub, map(fam.log_normalizer, zip(*coords)), gaps))
-    ends = table.ends[-1]
-    for j in range(2, reach + 1):
-        chunk = list(itertools.islice(logs, ends[j] - ends[j - 1]))
+    for size in sizes:
+        chunk = list(itertools.islice(logs, size))
         peak = max(chunk)
         yield peak, math.fsum(map(math.exp, map(sub, chunk, repeat(peak))))
 

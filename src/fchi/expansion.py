@@ -94,10 +94,9 @@ def pair_ratio_bounds(pair: PairSpec) -> RatioBounds:
     if pair.kind == "discrete":
         m, M = ratio_bounds_discrete(pair.p, pair.q)
         return RatioBounds(m, M)
-    q = pair.family_q  # refuses an unknown kind before pair.fam is used
     lo = 0.0
     hi = 0.0
-    for w, t in pair.fam.components(q):
+    for w, t in pair.fam.components(pair.family_q):
         m_c, M_c = pair.fam.ratio_bounds(pair.theta_p, t)
         lo += w * m_c
         hi += w * M_c

@@ -752,7 +752,7 @@ class PairSpec:
             return self.theta_q
         if self.kind == "mixture":
             return self.mixture
-        raise InputError(f"a {self.kind!r} pair has no exponential-family q")
+        raise InputError("a discrete pair has no exponential-family q")
 
     def describe(self) -> str:
         if self.kind == "discrete":

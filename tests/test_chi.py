@@ -393,22 +393,15 @@ class TestMixture:
     @pytest.mark.parametrize("parts,top", [(1, 6), (2, 7), (3, 6), (4, 5)])
     def test_composition_table_lists_each_composition(self, parts, top):
         table = chi._build_compositions(parts, top)
-        assert table.ends[-1][top] == len(table.one_minus_j)
+        assert table.ends[top] == len(table.log_multinomials)
+        assert all(len(column) == table.ends[top] for column in table.columns)
         for j in range(2, top + 1):
             want = list(compositions(j, parts))
-            first, last = table.ends[-1][j - 1], table.ends[-1][j]
+            first, last = table.ends[j - 1], table.ends[j]
             got = list(zip(*table.columns))[first:last]
             assert got == want
             assert list(table.log_multinomials[first:last]) == [
                 math.log(multinomial(c)) for c in want]
-            assert list(table.one_minus_j[first:last]) == [1 - j] * len(want)
-        # each entry's parent chain spells out its composition's prefixes
-        prefixes = [()]
-        for (parents, counts), ends in zip(table.levels, table.ends):
-            prefixes = [prefixes[n] + (k,) for n, k in zip(parents, counts)]
-            assert all(sum(c) <= top for c in prefixes)
-            assert len(set(prefixes)) == len(prefixes) == ends[-1]
-        assert prefixes == list(zip(*table.columns))
 
     def test_pairs_share_one_composition_table(self, monkeypatch):
         fam = poisson()
