@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, neg, sub
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from ._num import (
     MAX_EXP_ARG,
@@ -276,7 +276,7 @@ def _check_vertices(i: int, fam: AefFamily, tp, comps, mixture: bool) -> None:
             )
 
 
-class _Compositions(NamedTuple):
+class _Compositions:
     """The compositions of j = 2..top into `parts` counts, as columns.
 
     The compositions run by j and then in the order compositions()
@@ -285,10 +285,14 @@ class _Compositions(NamedTuple):
     multinomial coefficient, each a tuple with one entry per composition.
     """
 
-    top: int
-    ends: tuple
-    columns: tuple
-    log_multinomials: tuple
+    __slots__ = ("top", "ends", "columns", "log_multinomials")
+
+    def __init__(self, top: int, ends: tuple, columns: tuple,
+                 log_multinomials: tuple):
+        self.top = top
+        self.ends = ends
+        self.columns = columns
+        self.log_multinomials = log_multinomials
 
 
 def _build_compositions(parts: int, top: int) -> _Compositions:
