@@ -5,13 +5,17 @@ of (q - lam p)^i / p^(i-1).  Three evaluation routes live here; the
 first two form their per-pair state once and serve any number of orders:
 
 * exact summation for finite discrete pairs over each atom's q_s/p_s -
-  lam.  Rational inputs run in integers: with q_s/p_s - lam = n_s/d_s,
-  p_s = w_s/V and L = lcm(d_s), every atom has the integer base
-  e_s = n_s (L / d_s), atoms sharing a base are merged by summing their
-  weights, and order i is the single Fraction sum_e W_e e^i / (V L^i).
-  Each distinct base pays one integer product per order and no atom
-  pays a division, and the value equals the per-atom Fraction sum.  A
-  basis keeps the unreduced numerators with V and L, which the exact
+  lam.  Rational inputs run in integers from the atoms on: each
+  q_s/p_s - lam is one integer pair n_s/d_s, formed from the numerators
+  and denominators over one small gcd; with p_s = w_s/V and
+  L = lcm(d_s), every atom has the integer base e_s = n_s (L / d_s),
+  atoms sharing a base are merged by summing their weights, and order i
+  is sum_e W_e e^i / (V L^i).  Each distinct base pays one integer
+  product per order and no atom pays a division.  Every prime of V L^i
+  divides the modulus V L, so each order is reduced by gcds against
+  that modulus (_num.reduced_fraction) rather than one gcd of two large
+  integers, and the value equals the per-atom Fraction sum.  A basis
+  keeps the unreduced numerators with V and L, which the exact
   expansions sum in.  A pair whose estimated work passes a budget is
   refused with InputError before any power is formed;
 * one closed form for affine exponential families: order i is the
@@ -42,7 +46,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, neg, sub
+from math import gcd
+from operator import add, lt, mul, neg, sub
 from typing import Optional, Union
 
 from ._num import (
@@ -54,6 +59,7 @@ from ._num import (
     format_number,
     is_exact,
     multinomial,
+    reduced_fraction,
     safe_exp,
     to_floats,
 )
@@ -78,6 +84,19 @@ __all__ = [
 ]
 
 Number = Union[int, float, Fraction]
+
+
+def _check_orders(orders) -> list:
+    """The chi orders as a list of integers of at least 1, each above the
+    one before it; else InputError.  Every multi-order route takes them
+    through here."""
+    orders = [check_int(i, 1, "chi order") for i in orders]
+    if not all(map(lt, orders, orders[1:])):
+        before, after = next((a, b) for a, b in zip(orders, orders[1:])
+                             if b <= a)
+        raise InputError(f"chi orders must increase, but order {after} "
+                         f"follows order {before}")
+    return orders
 
 
 def _check_lam(lam: Number) -> Number:
@@ -107,7 +126,7 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
     Rational inputs take the integer route of _exact_discrete_values,
     which gives the form; it is None on the float route.
     """
-    orders = [check_int(i, 1, "chi order") for i in orders]
+    orders = _check_orders(orders)
     _check_lam(lam)
     if len(p) != len(q):
         raise InputError(f"support sizes differ: {len(p)} vs {len(q)}")
@@ -132,7 +151,8 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
 
 # most work the integer route may take, estimated as atoms * top order *
 # bits of the top denominator V L^k: a 100-atom pair with counts up to
-# 10^6 at k = 64 (about 6e8, 2 s) still runs, 150 atoms (1.1e9) do not
+# 10^6 at k = 64 (about 5.6e8, 0.4 s on a 2-vCPU Xeon) still runs, 150
+# atoms (1.2e9) do not
 _EXACT_BUDGET = 10 ** 9
 
 
@@ -146,18 +166,29 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> tuple:
         chi_i = sum_e W_e e^i / (V L^i),
 
     W_e the summed w_s of the atoms whose base is e (a zero base drops
-    out, since every order is at least 1).  Each order multiplies the
-    running W_e e^i by e once per distinct base and is one Fraction,
-    whose normalisation makes it equal, type included, to the per-atom
-    Fraction sum.  The form is (L, V, A) with A the unreduced sums
-    sum_e W_e e^i at the orders, or None when an atom strays
-    (p_s = 0 < q_s).
+    out, since every order is at least 1).  Each b_s comes from the
+    integers of p_s, q_s and lam with one gcd, no Fraction arithmetic.
+    Each order multiplies the running W_e e^i by e once per distinct
+    base and is one Fraction, reduced against the modulus V L, which
+    makes it equal, type included, to the per-atom Fraction sum.  The
+    form is (L, V, A) with A the unreduced sums sum_e W_e e^i at the
+    orders, or None when an atom strays (p_s = 0 < q_s).
     """
     stray = [Fraction(qs) for ps, qs in zip(p, q) if ps == 0 and qs != 0]
-    atoms = [(Fraction(ps), Fraction(qs) / Fraction(ps) - lam)
-             for ps, qs in zip(p, q) if ps != 0]
-    scale = math.lcm(*(ps.denominator for ps, _ in atoms))
-    common = math.lcm(*(b.denominator for _, b in atoms))
+    lam_n, lam_d = lam.numerator, lam.denominator
+    # per atom (p_s, n_s, d_s): q_s/p_s - lam = (c b lam_d - lam_n d a) /
+    # (d a lam_d) for p_s = a/b and q_s = c/d, over one gcd
+    atoms = []
+    for ps, qs in zip(p, q):
+        if ps:
+            a = ps.numerator
+            num = qs.numerator * ps.denominator * lam_d \
+                - lam_n * qs.denominator * a
+            den = qs.denominator * a * lam_d
+            g = gcd(num, den)
+            atoms.append((ps, num // g, den // g))
+    scale = math.lcm(*[ps.denominator for ps, _, _ in atoms])
+    common = math.lcm(*[d for _, _, d in atoms])
     top = max(orders, default=1)
     work = len(atoms) * top * (scale.bit_length() + top * common.bit_length())
     if work > _EXACT_BUDGET:
@@ -169,25 +200,25 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> tuple:
             f"float probabilities"
         )
     merged = {}
-    for ps, b in atoms:
-        base = (abs(b.numerator) if absolute else b.numerator) \
-            * (common // b.denominator)
+    for ps, n, d in atoms:
+        base = (abs(n) if absolute else n) * (common // d)
         if base:
             merged[base] = merged.get(base, 0) \
                 + ps.numerator * (scale // ps.denominator)
     bases = list(merged)
     pows, den, reached = list(merged.values()), scale, 0
+    modulus = scale * common
     values, nums = [], []
     for i in orders:
         if stray and i >= 2:
             values.append(math.inf)
             continue
         while reached < i:
-            pows = [a * e for a, e in zip(pows, bases)]
+            pows = list(map(mul, pows, bases))
             den *= common
             reached += 1
         nums.append(sum(pows))
-        value = Fraction(nums[-1], den)
+        value = reduced_fraction(nums[-1], den, modulus)
         values.append(value + sum(stray) if i == 1 else value)
     return values, (None if stray else (common, scale, nums))
 
@@ -386,7 +417,7 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     formed once per call, and the sign (-1)^n when lam > 0; the terms
     are C-level maps over those lists.
     """
-    orders = [check_int(i, 1, "chi order") for i in orders]
+    orders = _check_orders(orders)
     lam = _check_lam(lam)
     tp = fam.theta(theta_p)
     comps = fam.components(q)
@@ -551,6 +582,7 @@ def _chi_orders(orders, lam: Number, pair: PairSpec) -> tuple:
 def chi_pm_orders(orders, lam: Number, pair: PairSpec) -> list:
     """Chi terms of a pair spec at increasing orders, from one builder pass.
 
+    An order not above the one before it raises InputError naming both.
     An order that fails raises as chi_pm would at that order; the orders
     before it are not returned.
     """

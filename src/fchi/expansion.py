@@ -14,10 +14,12 @@ the partial sums are exact at any order, and they are summed in integers
 over one common denominator.  The basis holds chi_i = A_i / (V L^i) and
 the generator's table holds c_i = P_i / Q with f(1) = P_1 / Q, so the
 order-k partial sum is N_k / (Q V L^k) with N_k = L N_(k-1) + P_k A_k.
-Each stored partial sum is one Fraction, and each float of a term or a
-partial sum is one int true division, correctly rounded as
-Fraction.__float__ is.  That is how the paper's finite expansions
-(polynomial generators, odd alpha) come out exact.
+Each stored partial sum is one Fraction, reduced by gcds against the
+modulus Q V L, whose primes are all those of Q V L^k; each term is
+c_i chi_i from the reduced parts of both, over two small gcds.  Each
+float of a term or a partial sum is one int true division, correctly
+rounded as Fraction.__float__ is.  That is how the paper's finite
+expansions (polynomial generators, odd alpha) come out exact.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from ._num import (MAX_EXP_ARG, check_int, check_real, format_number,
-                   format_real, is_exact, log_factorial, log_factorials,
-                   safe_exp, to_float)
+from ._num import (MAX_EXP_ARG, check_int, check_real, coprime_fraction,
+                   format_number, format_real, is_exact, log_factorial,
+                   log_factorials, reduced_fraction, safe_exp, to_float)
 from .chi import ChiBasis, compute_basis
 from .errors import DivergenceError, InputError, OverflowSaturationError
 from .families import PairSpec, ratio_bounds_discrete
@@ -176,6 +179,7 @@ def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
     big_l, big_v, nums = form
     big_q, heads = prefix
     num, den = heads[0] * big_v * big_l, big_q * big_v * big_l
+    modulus = den
     total = Fraction(gen.f_at_one)
     total_f = to_float(total)
     terms, floats, sums, sum_floats = [], [], [total], []
@@ -185,13 +189,18 @@ def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
         pa = p * a
         if pa:
             num += pa
-            terms.append(c * value)
+            # c * value from the reduced parts of both
+            cn, cd = c.numerator, c.denominator
+            vn, vd = value.numerator, value.denominator
+            g, h = gcd(cn, vd), gcd(vn, cd)
+            terms.append(coprime_fraction((cn // g) * (vn // h),
+                                          (cd // h) * (vd // g)))
             try:
                 term_f, total_f = pa / den, num / den
             except OverflowError:
                 term_f, total_f = _ratio(pa, den), _ratio(num, den)
             floats.append(term_f)
-            total = Fraction(num, den)
+            total = reduced_fraction(num, den, modulus)
         else:
             terms.append(c * value if p else 0)
             floats.append(0.0)

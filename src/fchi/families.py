@@ -146,6 +146,8 @@ def ratio_bounds_discrete(p: DiscreteDistribution, q: DiscreteDistribution):
     """
     if len(p) != len(q):
         raise InputError(f"support sizes differ: {len(p)} vs {len(q)}")
+    if p.is_exact and q.is_exact:
+        return _exact_ratio_bounds(p.probs, q.probs)
     ratios = []
     m_zero = False
     M_inf = False
@@ -163,6 +165,37 @@ def ratio_bounds_discrete(p: DiscreteDistribution, q: DiscreteDistribution):
         raise InputError("distributions share no support")
     m = 0 if m_zero else (min(ratios) if ratios else 0)
     M = math.inf if M_inf else max(ratios)
+    return m, M
+
+
+def _exact_ratio_bounds(p, q) -> tuple:
+    """ratio_bounds_discrete of rational p and q, in integers.
+
+    Each ratio q_s/p_s is the pair (c b, d a) for p_s = a/b and q_s = c/d,
+    the extremes are found by integer cross-products, and only the two
+    returned are Fractions.
+    """
+    lo = hi = None
+    m_zero = M_inf = False
+    for ps, qs in zip(p, q):
+        if not ps:
+            if qs:
+                M_inf = True
+        elif not qs:
+            m_zero = True
+        else:
+            n = qs.numerator * ps.denominator
+            d = qs.denominator * ps.numerator
+            if lo is None:
+                lo = hi = n, d
+            elif n * lo[1] < lo[0] * d:
+                lo = n, d
+            elif n * hi[1] > hi[0] * d:
+                hi = n, d
+    if lo is None and not (m_zero or M_inf):
+        raise InputError("distributions share no support")
+    m = 0 if m_zero or lo is None else Fraction(*lo)
+    M = math.inf if M_inf else Fraction(*hi)
     return m, M
 
 

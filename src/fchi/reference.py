@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
-from ._num import MAX_EXP_ARG, check_float, exact_or_fsum, safe_exp
+from ._num import (MAX_EXP_ARG, check_float, coprime_fraction, exact_or_fsum,
+                   safe_exp)
 from .errors import InputError
 from .families import AefFamily, DiscreteDistribution, PairSpec
 from .generators import Generator
@@ -50,7 +52,10 @@ def exact_f_divergence_discrete(gen: Generator, p: DiscreteDistribution,
                 return math.inf
             continue
         if exact_in:
-            u = Fraction(qs) / Fraction(ps)
+            n = qs.numerator * ps.denominator
+            d = qs.denominator * ps.numerator
+            g = gcd(n, d)
+            u = coprime_fraction(n // g, d // g)
         else:
             u = float(qs) / float(ps)
         val = gen.eval(u)

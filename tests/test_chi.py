@@ -20,6 +20,7 @@ from fchi.chi import (
     chi_pm_aef,
     chi_pm_discrete,
     chi_pm_mixture,
+    chi_pm_orders,
     chi_pm_quadrature,
     chi_pm_trunc_exp_closed,
     compute_basis,
@@ -662,6 +663,28 @@ class TestPairDispatch:
         )
         assert provenance(pair) == "aef-closed-form-mixture"
         assert chi_abs(2, 1, pair) == pytest.approx(chi_pm(2, 1, pair), rel=1e-8)
+
+    @pytest.mark.parametrize("pair", [
+        PairSpec(kind="discrete", p=BERN_P, q=BERN_Q),
+        PairSpec(kind="discrete", p=bernoulli(0.9), q=bernoulli(0.3)),
+        PairSpec(kind="aef", fam=poisson(), theta_p=poisson().theta(0.0),
+                 theta_q=poisson().theta(0.5)),
+        PairSpec(kind="mixture", fam=gaussian_iso(1),
+                 theta_p=gaussian_iso(1).theta([0.5]),
+                 mixture=MixtureSpec([0.5, 0.5], ([0.0], [1.0]))),
+    ], ids=["exact-discrete", "float-discrete", "aef", "mixture"])
+    def test_orders_must_increase_on_every_route(self, pair):
+        # order 5 then order 3 once read order 5's value twice on the exact
+        # route and raised a raw ValueError from the closed form
+        for orders, before, after in (((5, 3), 5, 3), ((2, 4, 4), 4, 4)):
+            with pytest.raises(InputError, match=f"order {after} follows "
+                                                 f"order {before}"):
+                chi_pm_orders(orders, 1, pair)
+        assert chi_pm_orders((3, 5), 1, pair) == [chi_pm(3, 1, pair),
+                                                   chi_pm(5, 1, pair)]
+        if pair.kind == "discrete" and pair.p.is_exact:
+            assert chi_pm_orders((3, 5), 1, pair) == [Fraction(64, 3),
+                                                       Fraction(20992, 27)]
 
 
 class TestChiBasis:

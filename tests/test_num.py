@@ -13,6 +13,7 @@ from fchi._num import (
     check_int,
     check_real,
     compositions,
+    coprime_fraction,
     exact_or_fsum,
     format_number,
     format_real,
@@ -20,11 +21,12 @@ from fchi._num import (
     log_factorial,
     multinomial,
     quad,
+    reduced_fraction,
     safe_exp,
     saturating_fsum,
     to_float,
 )
-from fchi._num import _gauss_kronrod
+from fchi._num import _MODULUS_RATIO, _gauss_kronrod
 from fchi.errors import InputError, OverflowSaturationError
 
 
@@ -115,6 +117,60 @@ def test_multinomial():
     assert multinomial([2, 1]) == 3
     assert multinomial([3, 3, 3]) == math.factorial(9) // math.factorial(3) ** 3
     assert multinomial([5, 0, 2, 1]) == math.factorial(8) // (120 * 2)
+
+
+def _parts(x):
+    return type(x), x.numerator, x.denominator
+
+
+def test_coprime_fraction_keeps_its_pair():
+    for n, d in ((0, 1), (3, 7), (-5, 2), (2 ** 200 + 1, 3 ** 150)):
+        assert _parts(coprime_fraction(n, d)) == (Fraction, n, d)
+
+
+# m = 2^3 3 5^2 = 600; each den below is a multiple of m whose primes
+# all divide it, and each num puts some prime past m's exponent
+_M = 2 ** 3 * 3 * 5 ** 2
+_REDUCED_CASES = [
+    (0, _M ** 9),
+    (-(2 ** 40) * 7, _M ** 9),
+    (_M, _M),
+    (-7 * _M, _M),
+    (2 ** 80 * 3 ** 5 * 11, _M ** 12),
+    (-(5 ** 30) * 3 * 13 ** 9, 2 ** 4 * 3 ** 40 * 5 ** 60),
+    (2 ** 3 * 3 ** 70 * 5 + 1, _M ** 20),
+    (6 ** 60, 2 ** 200 * 3 ** 30 * 5 ** 2),
+    (2 ** 2 * 3 ** 9 * 7 ** 5, _M * 2 ** 8 * 3 ** 8),
+]
+
+
+@pytest.mark.parametrize("num, den", _REDUCED_CASES)
+def test_reduced_fraction_is_the_normalised_fraction(num, den):
+    want = Fraction(num, den)
+    # 30 and 600^2 are moduli of the same primes, 600^2 one with a ratio
+    # below _MODULUS_RATIO wherever 600 has one above it
+    for m in (_M, 2 * 3 * 5, _M ** 2):
+        if den % m == 0:
+            assert _parts(reduced_fraction(num, den, m)) == _parts(want)
+
+
+def test_reduced_fraction_cases_span_the_size_ratio():
+    below = [den.bit_length() < _MODULUS_RATIO * _M.bit_length()
+             for _, den in _REDUCED_CASES]
+    assert any(below) and not all(below)
+
+
+@settings(max_examples=200)
+@given(st.integers(-10 ** 400, 10 ** 400),
+       st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=4,
+                unique=True),
+       st.integers(1, 80), st.integers(0, 60))
+def test_reduced_fraction_matches_fraction(num, primes, power, shift):
+    # den = m^power times extra powers of m's primes; num shares some
+    m = math.prod(primes)
+    den = m ** power * primes[0] ** shift
+    num *= primes[-1] ** (shift // 2)
+    assert _parts(reduced_fraction(num, den, m)) == _parts(Fraction(num, den))
 
 
 def test_format_real_round_trips():

@@ -38,6 +38,7 @@ from fchi.families import (
     categorical,
     gaussian_iso,
     poisson,
+    ratio_bounds_discrete,
     trunc_exp,
     vmf,
 )
@@ -692,3 +693,76 @@ def test_finite_expansions_are_the_divergence(pair, case, k):
         want = exact_f_divergence_discrete(gen, pair.p, pair.q)
     got = chi_expansion(gen, compute_basis(pair, k))
     assert type(got) is Fraction and got == want
+
+
+# ---------------------------------------------------------------------------
+# the integer discrete route end to end, against plain Fraction arithmetic
+
+
+@st.composite
+def integer_route_pairs(draw):
+    """Rational pairs on 2-50 atoms.  q may miss atoms, atoms may be empty
+    on both sides, a quarter of the pairs have p miss atoms where q has
+    mass (strays), and a sixth have p as a point mass.  A zero entry is
+    an int or a Fraction, and a point mass is an int 1 or a Fraction."""
+    n = draw(st.integers(2, 50))
+    counts = st.lists(st.integers(1, 40), min_size=n, max_size=n)
+    atoms = st.sets(st.integers(0, n - 1), max_size=3)
+    wp, wq = draw(counts), draw(counts)
+    for s in draw(atoms):
+        wq[s] = 0
+    for s in draw(atoms):
+        wp[s] = wq[s] = 0
+    if draw(st.integers(0, 3)) == 0:
+        for s in draw(atoms):
+            wp[s] = 0
+    if draw(st.integers(0, 5)) == 0:
+        wp = [0] * n
+        wp[draw(st.integers(0, n - 1))] = 1
+    assume(any(wp) and any(wq))
+
+    def entry(w, total):
+        if (w == 0 or w == total) and draw(st.booleans()):
+            return w // total
+        return Fraction(w, total)
+
+    return tuple(DiscreteDistribution([entry(w, sum(ws)) for w in ws])
+                 for ws in (wp, wq))
+
+
+integer_route_anchors = st.sampled_from([1, Fraction(1, 2), Fraction(-3, 2),
+                                         2])
+
+
+@settings(max_examples=30)
+@given(integer_route_pairs(), integer_route_anchors, st.booleans())
+def test_integer_route_basis_equals_the_fraction_oracle(pq, lam, absolute):
+    p, q = pq
+    orders = range(2, 65)
+    want = _typed(oracles.chi_power_exact(orders, lam, p.probs, q.probs,
+                                          absolute))
+    assert _typed(_discrete_values(orders, lam, p, q, absolute)[0]) == want
+    if not absolute:
+        pair = PairSpec(kind="discrete", p=p, q=q)
+        assert _typed(compute_basis(pair, 64, lam).values) == want
+
+
+@settings(max_examples=30)
+@given(integer_route_pairs(),
+       st.sampled_from(["kl", "rkl", "jeffreys", "js", "harmonic",
+                        "poly:1/2,-3,0,2/5"]).map(from_spec))
+def test_integer_route_reports_equal_the_fraction_oracle(pq, gen):
+    p, q = pq
+    basis = compute_basis(PairSpec(kind="discrete", p=p, q=q), 64)
+    _assert_the_oracle(gen, basis, [converge(gen, basis)])
+
+
+@settings(max_examples=100)
+@given(integer_route_pairs())
+def test_exact_ratio_bounds_are_the_fraction_extremes(pq):
+    p, q = pq
+    atoms = list(zip(p.probs, q.probs))
+    ratios = [Fraction(qs) / Fraction(ps) for ps, qs in atoms if ps and qs]
+    m = 0 if any(ps and not qs for ps, qs in atoms) else min(ratios)
+    big = math.inf if any(qs and not ps for ps, qs in atoms) else max(ratios)
+    assert _typed(ratio_bounds_discrete(p, q)) == _typed([m, big])
