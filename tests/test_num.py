@@ -147,8 +147,7 @@ _REDUCED_CASES = [
 @pytest.mark.parametrize("num, den", _REDUCED_CASES)
 def test_reduced_fraction_is_the_normalised_fraction(num, den):
     want = Fraction(num, den)
-    # 30 and 600^2 are moduli of the same primes, 600^2 one with a ratio
-    # below _MODULUS_RATIO wherever 600 has one above it
+    # 30 and 600^2 have the primes of 600 too; any such m dividing den works
     for m in (_M, 2 * 3 * 5, _M ** 2):
         if den % m == 0:
             assert _parts(reduced_fraction(num, den, m)) == _parts(want)
