@@ -292,8 +292,9 @@ def reduced_fraction(num: int, den: int, m: int) -> Fraction:
     whose power in num and den passes its power in m.  Each gcd pairs num
     or den with m or with the square of a factor they share, so it costs
     about one reduction of num or den by a small number, where one gcd
-    of num and den costs time quadratic in their size.  Below _MODULUS_RATIO that one gcd is
-    cheaper, and the result is plain Fraction(num, den).
+    of num and den costs time quadratic in their size.  Below
+    _MODULUS_RATIO that one gcd is cheaper, and the result is plain
+    Fraction(num, den).
     """
     if den.bit_length() < _MODULUS_RATIO * m.bit_length():
         return Fraction(num, den)
