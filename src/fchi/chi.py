@@ -86,10 +86,13 @@ __all__ = [
 Number = Union[int, float, Fraction]
 
 
-def _check_orders(orders) -> list:
+def _check_orders(orders):
     """The chi orders as a list of integers of at least 1, each above the
     one before it; else InputError.  Every multi-order route takes them
-    through here."""
+    through here.  A range from 1 or above with a positive step holds
+    such orders by construction, and comes back as it is."""
+    if type(orders) is range and orders.start >= 1 and orders.step > 0:
+        return orders
     orders = [check_int(i, 1, "chi order") for i in orders]
     if not all(map(lt, orders, orders[1:])):
         before, after = next((a, b) for a, b in zip(orders, orders[1:])
@@ -730,9 +733,9 @@ def compute_basis(pair: PairSpec, max_order: int, lam: Number = 1) -> ChiBasis:
     check_int(max_order, 2, "max_order")
     global _basis_builds
     _basis_builds += 1
-    orders = tuple(range(2, max_order + 1))
+    orders = range(2, max_order + 1)
     values, form = _chi_orders(orders, lam, pair)
-    basis = ChiBasis(lam=lam, orders=orders, values=tuple(values),
+    basis = ChiBasis(lam=lam, orders=tuple(orders), values=tuple(values),
                      method=provenance(pair), source=pair.describe())
     if form is not None:
         object.__setattr__(basis, "_ints", form)

@@ -14,12 +14,16 @@ the partial sums are exact at any order, and they are summed in integers
 over one common denominator.  The basis holds chi_i = A_i / (V L^i) and
 the generator's table holds c_i = P_i / Q with f(1) = P_1 / Q, so the
 order-k partial sum is N_k / (Q V L^k) with N_k = L N_(k-1) + P_k A_k.
-Each stored partial sum is one Fraction, reduced by gcds against the
-modulus Q V L, whose primes are all those of Q V L^k; each term is
-c_i chi_i from the reduced parts of both, over two small gcds.  Each
-float of a term or a partial sum is one int true division, correctly
-rounded as Fraction.__float__ is.  That is how the paper's finite
-expansions (polynomial generators, odd alpha) come out exact.
+A report keeps the integers N_k and reduces a partial sum to a Fraction
+only when it is read: the value, the last sum, at once, and the others
+all together on the first read of `partials` (Knuth, TAOCP vol. 2,
+4.5.1, on delaying the normalisation of rationals).  Each reduction
+takes gcds against the modulus Q V L, whose primes are all those of
+Q V L^k; each term is c_i chi_i from the reduced parts of both, over two
+small gcds, and is built at once.  Each float of a term or a partial sum
+is one int true division, correctly rounded as Fraction.__float__ is.
+That is how the paper's finite expansions (polynomial generators, odd
+alpha) come out exact.
 """
 
 from __future__ import annotations
@@ -151,17 +155,52 @@ def _float_terms(table, basis: ChiBasis) -> tuple:
     return terms, floats
 
 
-def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
-    """(terms, floats, sums, sum_floats): coeff(i) * chi_i at the basis
-    orders, their floats, the running sums and the floats of sums[1:].
+class _ExactSums:
+    """The exact partial sums of one expansion, each reduced on read.
 
-    sums[j] is f(1) plus the first j terms.  They are exact (Fractions)
-    when the basis and the generator's exact prefix (CoeffTable.ints)
-    reach the top order, summed in integers as the module docstring says;
-    an order whose coefficient vanishes reuses the previous sum.
-    Otherwise they are a float running sum of the term floats, which
-    stops at the first non-finite sum and repeats it, where a later term
-    of the other sign would turn an infinity into NaN.
+    nums[0] / modulus is f(1), and nums[j] / (modulus L^j) is the partial
+    sum at the j-th order, or None where that order's term vanished and
+    the sum before it stands.  Indexing reduces one sum and iterating
+    reduces each in turn, with reduced_fraction against the modulus.
+    Only ints, None and tuples are held, so a report that holds one
+    pickles and copies as it would with a tuple of Fractions.
+    """
+
+    __slots__ = ("nums", "modulus", "big_l")
+
+    def __init__(self, nums: tuple, modulus: int, big_l: int):
+        self.nums, self.modulus, self.big_l = nums, modulus, big_l
+
+    def __getitem__(self, j: int) -> Fraction:
+        nums = self.nums
+        at = range(1, len(nums))[j]
+        while nums[at] is None:
+            at -= 1
+        return reduced_fraction(nums[at], self.modulus * self.big_l ** at,
+                                self.modulus)
+
+    def __iter__(self):
+        nums, modulus, den = iter(self.nums), self.modulus, self.modulus
+        total = reduced_fraction(next(nums), den, modulus)
+        for num in nums:
+            den *= self.big_l
+            if num is not None:
+                total = reduced_fraction(num, den, modulus)
+            yield total
+
+
+def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
+    """(terms, floats, partials, partial_floats): coeff(i) * chi_i at the
+    basis orders, their floats, the partial sums f(1) plus the terms up
+    to each order, and the floats of those sums.
+
+    The partial sums are exact, an _ExactSums, when the basis and the
+    generator's exact prefix (CoeffTable.ints) reach the top order,
+    summed in integers as the module docstring says; an order whose
+    coefficient vanishes repeats the previous sum.  Otherwise they are a
+    list, the float running sum of the term floats, which stops at the
+    first non-finite sum and repeats it, where a later term of the other
+    sign would turn an infinity into NaN; partial_floats is that list.
     """
     _require_anchor_one(basis)
     top = basis.max_order
@@ -174,15 +213,15 @@ def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
         if not math.isfinite(sums[-1]):
             j = next(j for j, s in enumerate(sums) if not math.isfinite(s))
             sums[j:] = [sums[j]] * (len(sums) - j)
-        return terms, floats, sums, sums[1:]
+        del sums[0]
+        return terms, floats, sums, sums
 
     big_l, big_v, nums = form
     big_q, heads = prefix
     num, den = heads[0] * big_v * big_l, big_q * big_v * big_l
     modulus = den
-    total = Fraction(gen.f_at_one)
-    total_f = to_float(total)
-    terms, floats, sums, sum_floats = [], [], [total], []
+    total_f = to_float(Fraction(gen.f_at_one))
+    terms, floats, sums, sum_floats = [], [], [num], []
     for c, p, a, value in zip(table.exact, heads[1:], nums, basis.values):
         num *= big_l
         den *= big_l
@@ -200,13 +239,13 @@ def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
             except OverflowError:
                 term_f, total_f = _ratio(pa, den), _ratio(num, den)
             floats.append(term_f)
-            total = reduced_fraction(num, den, modulus)
+            sums.append(num)
         else:
             terms.append(c * value if p else 0)
             floats.append(0.0)
-        sums.append(total)
+            sums.append(None)
         sum_floats.append(total_f)
-    return terms, floats, sums, sum_floats
+    return terms, floats, _ExactSums(tuple(sums), modulus, big_l), sum_floats
 
 
 def expansion_terms(gen: Generator, basis: ChiBasis) -> list:
@@ -219,14 +258,14 @@ def chi_expansion(gen: Generator, basis: ChiBasis, k: Optional[int] = None):
 
     The partial sum converge reports at order k: exact (Fraction) when
     f(1), every coefficient and every chi value of the basis are
-    rational, else a float running sum.
+    rational, else a float running sum.  Only the order-k sum is reduced.
     """
     if k is None:
         k = basis.max_order
     elif check_int(k, 2, "truncation order k") > basis.max_order:
         raise InputError(f"truncation order k={k} passes this basis' top "
                          f"order {basis.max_order}")
-    return _partial_sums(gen, basis)[2][k - 1]
+    return _partial_sums(gen, basis)[2][k - 2]
 
 
 def remainder_bound(gen: Generator, k: int, bounds: RatioBounds,
@@ -279,6 +318,31 @@ def _remainder_bounds(gen: Generator, orders: Sequence[int],
     return tuple(caps)
 
 
+class _Partials:
+    """The descriptor of ExpansionReport.partials.
+
+    A report stores what it was given, a tuple in most cases, and reads
+    it back unchanged.  An _ExactSums given by converge is reduced to a
+    tuple of Fractions on the first read, which replaces it, so later
+    reads return that same tuple.  The class-level read gives (), the
+    field's default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()
+        sums = obj.__dict__[self.name]
+        if type(sums) is _ExactSums:
+            sums = obj.__dict__[self.name] = tuple(sums)
+        return sums
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class ExpansionReport:
     """Everything converge() observed about one generator on one basis.
@@ -288,13 +352,17 @@ class ExpansionReport:
     when the basis itself could not be built).  settled_at is the first
     order at which the convergence rule fired.  remainder_bounds and
     abs_errors align with orders when available, else None.
+
+    Exact partial sums from converge are reduced to Fractions on the
+    first read of partials, and value at once; a report reads, compares,
+    hashes, copies and pickles as it would with the tuple given whole.
     """
 
     generator: str
     verdict: str
     orders: tuple = ()
     terms: tuple = ()
-    partials: tuple = ()
+    partials: tuple = _Partials()
     value: Optional[Number] = None
     settled_at: Optional[int] = None
     remainder_bounds: Optional[tuple] = None
@@ -375,8 +443,7 @@ def converge(gen: Generator, source, max_order: int = 20, *,
         except (DivergenceError, OverflowSaturationError) as exc:
             return _failure_report(gen, exc)
 
-    terms, floats, sums, sum_floats = _partial_sums(gen, basis)
-    partials = sums[1:]
+    terms, floats, partials, sum_floats = _partial_sums(gen, basis)
     orders = basis.orders
     mags = list(map(abs, floats))
 
@@ -408,9 +475,13 @@ def converge(gen: Generator, source, max_order: int = 20, *,
     rbounds = None
     if bounds is not None:
         rbounds = _remainder_bounds(gen, orders, bounds)
+    # exact sums stay unreduced unless the errors read them all
+    exact = type(partials) is _ExactSums
+    if exact_value is not None or not exact:
+        partials = tuple(partials)
     errors = None
     if exact_value is not None:
-        if is_exact(exact_value) and isinstance(sums[0], Fraction):
+        if exact and is_exact(exact_value):
             errors = tuple(abs(Fraction(exact_value) - s) for s in partials)
         else:
             errors = tuple(abs(to_float(exact_value) - to_float(s))
@@ -418,8 +489,7 @@ def converge(gen: Generator, source, max_order: int = 20, *,
 
     return ExpansionReport(
         generator=gen.name, verdict=verdict, orders=orders,
-        terms=tuple(terms), partials=tuple(partials),
-        value=partials[-1] if partials else None,
+        terms=tuple(terms), partials=partials, value=partials[-1],
         settled_at=settled, remainder_bounds=rbounds, abs_errors=errors,
         note=note,
     )

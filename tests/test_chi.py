@@ -682,6 +682,15 @@ class TestPairDispatch:
                 chi_pm_orders(orders, 1, pair)
         assert chi_pm_orders((3, 5), 1, pair) == [chi_pm(3, 1, pair),
                                                    chi_pm(5, 1, pair)]
+        # a range passes unchecked only where it holds valid orders
+        for orders, message in (
+                (range(5, 2, -1), "order 4 follows order 5"),
+                (range(0, 3), "chi order must be an integer of at least 1, "
+                              "got 0")):
+            with pytest.raises(InputError, match=message):
+                chi_pm_orders(orders, 1, pair)
+        assert chi_pm_orders(range(3, 6, 2), 1, pair) == \
+            chi_pm_orders((3, 5), 1, pair)
         if pair.kind == "discrete" and pair.p.is_exact:
             assert chi_pm_orders((3, 5), 1, pair) == [Fraction(64, 3),
                                                        Fraction(20992, 27)]
@@ -707,6 +716,23 @@ class TestChiBasis:
             with pytest.raises(InputError, match="basis order must be an "
                                "integer of at least 2"):
                 ChiBasis(lam=1, orders=orders, values=(0.5, 0.25))
+
+    @pytest.mark.parametrize("pair", [
+        PairSpec(kind="discrete", p=BERN_P, q=BERN_Q),
+        PairSpec(kind="discrete", p=bernoulli(0.9), q=bernoulli(0.3)),
+        PairSpec(kind="aef", fam=poisson(), theta_p=poisson().theta(0.0),
+                 theta_q=poisson().theta(0.5)),
+        PairSpec(kind="mixture", fam=gaussian_iso(1),
+                 theta_p=gaussian_iso(1).theta([0.5]),
+                 mixture=MixtureSpec([0.5, 0.5], ([0.0], [1.0]))),
+    ], ids=["exact-discrete", "float-discrete", "aef", "mixture"])
+    def test_compute_basis_checks_each_order_once(self, pair, monkeypatch):
+        seen = []
+        check_int = chi.check_int
+        monkeypatch.setattr(chi, "check_int", lambda value, lo, what: (
+            seen.append(what) or check_int(value, lo, what)))
+        compute_basis(pair, 12)
+        assert seen.count("chi order") + seen.count("basis order") == 11
 
     def test_float_csv_round_trip_is_bit_exact(self):
         pair = PairSpec(kind="discrete", p=bernoulli(0.9), q=bernoulli(0.3))

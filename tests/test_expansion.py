@@ -1,6 +1,9 @@
 """Tests for truncated expansions, remainder caps, and verdicts."""
 
+import copy
+import dataclasses
 import io
+import pickle
 import random
 import math
 from fractions import Fraction as Fr
@@ -43,7 +46,7 @@ from fchi.generators import (
     polynomial_generator,
     reverse_kl,
 )
-from fchi import reference
+from fchi import expansion, reference
 
 import oracles
 
@@ -575,6 +578,103 @@ class TestBatchEvaluate:
         for rep in reports.values():
             assert rep.verdict == "diverging"
             assert rep.note.startswith("basis construction failed:")
+
+
+# six rational atoms, so every exact partial sum is a Fraction of some size
+SIX_ATOMS = discrete_pair(
+    DiscreteDistribution([Fr(w, 21) for w in (1, 2, 3, 4, 5, 6)]),
+    DiscreteDistribution([Fr(w, 26) for w in (6, 5, 4, 4, 4, 3)]))
+
+
+class TestLazyPartials:
+    """converge reduces only the value; partials is built on first read."""
+
+    def lazy(self, gen=None):
+        rep = converge(gen or kl(), SIX_ATOMS, 20,
+                       bounds=pair_ratio_bounds(SIX_ATOMS))
+        assert not isinstance(vars(rep)["partials"], tuple)
+        return rep
+
+    def twin(self, gen=None):
+        rep = self.lazy(gen)
+        return ExpansionReport(**{f.name: getattr(rep, f.name)
+                                  for f in dataclasses.fields(rep)})
+
+    def assert_same(self, got, want):
+        assert got == want
+        assert type(got.partials) is tuple
+        assert [type(s) for s in got.partials] == [Fr] * len(want.orders)
+
+    def count_reductions(self, monkeypatch) -> list:
+        calls = []
+        reduce = expansion.reduced_fraction
+        monkeypatch.setattr(expansion, "reduced_fraction",
+                            lambda *args: calls.append(args) or reduce(*args))
+        return calls
+
+    def test_reading_twice_returns_the_same_tuple(self):
+        rep = self.lazy()
+        assert rep.partials is rep.partials
+
+    def test_hand_built_partials_are_kept_as_given(self):
+        given = (Fr(1, 2), Fr(1, 3))
+        rep = ExpansionReport("kl", "inconclusive", (2, 3), (0, 0), given)
+        assert rep.partials is given
+        assert ExpansionReport("kl", "inconclusive").partials == ()
+        assert ExpansionReport.partials == ()
+
+    def test_fields_keep_their_names_types_and_defaults(self):
+        got = [(f.name, f.type, f.default)
+               for f in dataclasses.fields(ExpansionReport)]
+        missing = dataclasses.MISSING
+        assert got == [
+            ("generator", "str", missing), ("verdict", "str", missing),
+            ("orders", "tuple", ()), ("terms", "tuple", ()),
+            ("partials", "tuple", ()), ("value", "Optional[Number]", None),
+            ("settled_at", "Optional[int]", None),
+            ("remainder_bounds", "Optional[tuple]", None),
+            ("abs_errors", "Optional[tuple]", None), ("note", "str", "")]
+
+    def test_equality_hash_and_repr_match_an_eager_twin(self):
+        twin = self.twin()
+        assert self.lazy() == twin and twin == self.lazy()
+        assert hash(self.lazy()) == hash(twin)
+        assert repr(self.lazy()) == repr(twin)
+        assert dataclasses.asdict(self.lazy()) == dataclasses.asdict(twin)
+        assert self.lazy(jensen_shannon()) != twin
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda rep: pickle.loads(pickle.dumps(rep)),
+        lambda rep: dataclasses.replace(rep)],
+        ids=["copy", "deepcopy", "pickle", "replace"])
+    def test_clones_match_an_eager_twin(self, clone):
+        twin = self.twin()
+        self.assert_same(clone(self.lazy()), twin)
+        self.assert_same(clone(twin), twin)
+        rep = self.lazy()
+        rep.partials
+        self.assert_same(clone(rep), twin)
+
+    def test_only_the_value_is_reduced_until_partials_is_read(
+            self, monkeypatch):
+        calls = self.count_reductions(monkeypatch)
+        gens = [kl(), jensen_shannon(), polynomial_generator([1, -2, 1]),
+                alpha_generator(3)]
+        reports = batch_evaluate(SIX_ATOMS, gens, 20)
+        assert all(type(rep.value) is Fr for rep in reports.values())
+        assert len(calls) <= len(reports)
+        before = len(calls)
+        rep = reports["kl"]
+        assert rep.partials is rep.partials
+        assert before < len(calls) <= before + 1 + len(rep.orders)
+
+    def test_chi_expansion_reduces_only_its_order(self, monkeypatch):
+        basis = compute_basis(SIX_ATOMS, 20)
+        sums = converge(kl(), basis).partials
+        calls = self.count_reductions(monkeypatch)
+        for k in basis.orders:
+            assert chi_expansion(kl(), basis, k) == sums[k - 2]
+        assert len(calls) == len(basis.orders)
 
 
 class TestAlphaOdd:

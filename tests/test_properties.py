@@ -622,11 +622,11 @@ def _same(a, b) -> bool:
 
 def _assert_the_oracle(gen, basis, reports):
     want = oracles.expansion_by_fractions(gen, basis)
-    terms, floats, sums, sum_floats = _partial_sums(gen, basis)
+    terms, floats, partials, partial_floats = _partial_sums(gen, basis)
     assert _same(terms, want["terms"])
     assert _same(floats, want["floats"])
-    assert _same(sums[1:], want["partials"])
-    assert _same(sum_floats, want["partial_floats"])
+    assert _same(list(partials), want["partials"])
+    assert _same(partial_floats, want["partial_floats"])
     assert _same(chi_expansion(gen, basis), want["partials"][-1])
     for rep in reports:
         assert _same(rep.terms, tuple(want["terms"]))
@@ -754,7 +754,9 @@ def test_integer_route_basis_equals_the_fraction_oracle(pq, lam, absolute):
 def test_integer_route_reports_equal_the_fraction_oracle(pq, gen):
     p, q = pq
     basis = compute_basis(PairSpec(kind="discrete", p=p, q=q), 64)
-    _assert_the_oracle(gen, basis, [converge(gen, basis)])
+    want = _assert_the_oracle(gen, basis, [converge(gen, basis)])
+    for k in range(2, 64):
+        assert _same(chi_expansion(gen, basis, k), want["partials"][k - 2])
 
 
 @settings(max_examples=100)
