@@ -51,13 +51,8 @@ from .chi import (
     ChiBasis,
     basis_build_count,
     chi_abs,
-    chi_abs_discrete,
     chi_pm,
-    chi_pm_aef,
-    chi_pm_discrete,
-    chi_pm_mixture,
     chi_pm_quadrature,
-    chi_pm_trunc_exp_closed,
     compute_basis,
     provenance,
     reset_basis_build_count,
@@ -70,7 +65,6 @@ from .expansion import (
     batch_evaluate,
     chi_expansion,
     converge,
-    expansion_terms,
     pair_ratio_bounds,
     remainder_bound,
 )
@@ -117,13 +111,8 @@ __all__ = [
     "ChiBasis",
     "basis_build_count",
     "chi_abs",
-    "chi_abs_discrete",
     "chi_pm",
-    "chi_pm_aef",
-    "chi_pm_discrete",
-    "chi_pm_mixture",
     "chi_pm_quadrature",
-    "chi_pm_trunc_exp_closed",
     "compute_basis",
     "provenance",
     "reset_basis_build_count",
@@ -134,7 +123,6 @@ __all__ = [
     "batch_evaluate",
     "chi_expansion",
     "converge",
-    "expansion_terms",
     "pair_ratio_bounds",
     "remainder_bound",
     "exact_alpha_aef",

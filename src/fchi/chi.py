@@ -1,8 +1,9 @@
 """Power chi terms: the building blocks every expansion is assembled from.
 
 The order-i, anchor-lam chi term of a pair (p, q) is the sum or integral
-of (q - lam p)^i / p^(i-1).  Three evaluation routes live here; the
-first two form their per-pair state once and serve any number of orders:
+of (q - lam p)^i / p^(i-1).  chi_pm_orders (chi_pm at one order) takes
+the route that the pair's kind fixes; each forms its per-pair state once
+and serves any number of orders:
 
 * exact summation for finite discrete pairs over each atom's q_s/p_s -
   lam.  Rational inputs run in integers from the atoms on: each
@@ -23,10 +24,11 @@ first two form their per-pair state once and serve any number of orders:
   gaps summed over the compositions of j into the components of q.  The
   compositions come from one table per component count, shared by every
   pair, and each order runs as C-level maps over lists, with the float
-  operations of a term-by-term loop in the same order;
-* a numeric cross-check for families with a density: the power is
-  formed in log space and the family's own integrate sums or integrates
-  it, the same route quadrature_f_divergence takes.
+  operations of a term-by-term loop in the same order.
+
+chi_pm_quadrature is the numeric cross-check for families with a
+density: the power is formed in log space and the family's own integrate
+sums or integrates it, the same route quadrature_f_divergence takes.
 
 Each composition's parameter is a convex combination of theta_p and the
 vertices theta_p + i (theta_c - theta_p).  Natural-parameter domains are
@@ -67,12 +69,7 @@ from .errors import DivergenceError, InputError, OverflowSaturationError
 from .families import AefFamily, DiscreteDistribution, MixtureSpec, PairSpec
 
 __all__ = [
-    "chi_pm_discrete",
-    "chi_abs_discrete",
-    "chi_pm_aef",
-    "chi_pm_mixture",
     "chi_pm_quadrature",
-    "chi_pm_trunc_exp_closed",
     "chi_pm",
     "chi_pm_orders",
     "chi_abs",
@@ -125,7 +122,7 @@ def _discrete_values(orders, lam: Number, p: DiscreteDistribution,
     """(values, form): terms sum_s p_s b_s^i at increasing orders i,
     b_s = q_s/p_s - lam, and their integer form.
 
-    Each b_s (|b_s| when absolute) is formed once; see chi_pm_discrete.
+    Each b_s (|b_s| when absolute) is formed once; see chi_pm_orders.
     Rational inputs take the integer route of _exact_discrete_values,
     which gives the form; it is None on the float route.
     """
@@ -224,23 +221,6 @@ def _exact_discrete_values(orders, lam: Fraction, p, q, absolute) -> tuple:
         value = reduced_fraction(nums[-1], den, modulus)
         values.append(value + sum(stray) if i == 1 else value)
     return values, (None if stray else (common, scale, nums))
-
-
-def chi_pm_discrete(i: int, lam: Number, p: DiscreteDistribution,
-                    q: DiscreteDistribution):
-    """Sum of (q_s - lam p_s)^i / p_s^(i-1) over the atoms.
-
-    Exact (Fraction) when p, q and lam are all rational.  An atom with
-    p_s = 0 < q_s makes every order i >= 2 diverge to +inf; at i = 1 it
-    contributes q_s and the total telescopes to 1 - lam.
-    """
-    return _discrete_values((i,), lam, p, q)[0][0]
-
-
-def chi_abs_discrete(i: int, lam: Number, p: DiscreteDistribution,
-                     q: DiscreteDistribution):
-    """Absolute-value variant: sum of |q_s - lam p_s|^i / p_s^(i-1)."""
-    return _discrete_values((i,), lam, p, q, absolute=True)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,36 +441,6 @@ def _closed_values(orders, lam: Number, fam: AefFamily, theta_p, q) -> list:
     return values
 
 
-def chi_pm_aef(i: int, lam: Number, fam: AefFamily, theta_p, theta_q) -> float:
-    """Closed-form chi term for two members of one affine exponential family.
-
-    Expanding the i-th power binomially turns each j-summand into
-    exp(E_j) with E_j = F((1-j) theta_p + j theta_q) - (1-j) F(theta_p)
-    - j F(theta_q), weighted by C(i, j) (-lam)^(i-j).  Every j from 0 to
-    i must keep the interpolated parameter inside the family's domain;
-    the j = i endpoint is precisely the usual convergence condition.
-    """
-    if isinstance(theta_q, MixtureSpec):
-        raise InputError("chi_pm_aef takes a natural parameter for q; "
-                         "use chi_pm_mixture for a mixture")
-    return _closed_values((i,), lam, fam, theta_p, theta_q)[0]
-
-
-def chi_pm_mixture(i: int, lam: Number, fam: AefFamily, theta_p,
-                   mixture: MixtureSpec) -> float:
-    """Chi term of p against a finite mixture q of the same family.
-
-    The binomial transform of moments M_0..M_i, each a sum of one
-    log-normalizer gap per composition of j over the components.  Domain
-    checks apply as in chi_pm_aef; orders past the composition budget
-    raise InputError.
-    """
-    if not isinstance(mixture, MixtureSpec):
-        raise InputError(f"chi_pm_mixture needs a MixtureSpec, got "
-                         f"{type(mixture).__name__}")
-    return _closed_values((i,), lam, fam, theta_p, mixture)[0]
-
-
 # ---------------------------------------------------------------------------
 # numeric cross-checks
 
@@ -505,23 +455,22 @@ def _log_ratio_shift(log_r: float, lam: float):
     return (1 if v > 0 else -1), math.log(abs(v))
 
 
-def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
-                      theta_q=None, mixture: Optional[MixtureSpec] = None,
+def chi_pm_quadrature(i: int, lam: Number, pair: PairSpec,
                       absolute: bool = False) -> float:
-    """Chi term by numeric integration or summation against the density.
+    """Chi term of an aef or mixture pair by numeric integration or
+    summation: the slow, closed-form-free cross-check of chi_pm.
 
-    This is the slow, closed-form-free route used to cross-check the
-    analytic paths.  Exactly one of theta_q and mixture must be given.
-    The power (q/p - lam)^i is formed in log space and handed to the
-    family's own integrate; families without a density raise InputError.
+    The power (q/p - lam)^i, or its magnitude when absolute, is formed in
+    log space and handed to the family's own integrate after chi_pm's
+    vertex check.  A discrete pair, or a family without a density, raises
+    InputError.
     """
     check_int(i, 1, "chi order")
     lam = _check_lam(lam)
-    if (theta_q is None) == (mixture is None):
-        raise InputError("give exactly one of theta_q and mixture")
-    tp = fam.theta(theta_p)
-    q = fam.theta(theta_q) if mixture is None else mixture
-    _check_vertices(i, fam, tp, fam.components(q), mixture is not None)
+    q = pair.family_q
+    fam = pair.fam
+    tp = fam.theta(pair.theta_p)
+    _check_vertices(i, fam, tp, fam.components(q), pair.kind == "mixture")
     lam_f = check_float(lam, "anchor lam")
 
     def term(log_p, log_r):
@@ -533,40 +482,6 @@ def chi_pm_quadrature(i: int, lam: Number, fam: AefFamily, theta_p,
 
     value, _err = fam.integrate(term, tp, q, reach=i)
     return value
-
-
-def chi_pm_trunc_exp_closed(theta_p: Number, theta_q: Number, i: int = 3):
-    """Order-3 chi term between singly truncated exponential densities.
-
-    Symbolic reduction of the log-normalizer route collapses to a single
-    rational function of the two rates; the truncation point cancels
-    entirely, so no `a` argument is needed.  The denominator factors as
-    theta_p^2 (2 theta_q - theta_p)(3 theta_q - 2 theta_p), placing the
-    poles exactly on the order-2 and order-3 convergence boundaries.
-    Exact (Fraction) for rational rates.  Only order 3 has this form
-    tabulated; other orders go through chi_pm_aef.
-    """
-    if check_int(i, 1, "chi order") != 3:
-        raise InputError(
-            f"the tabulated rational form covers order 3 only, got i={i}")
-    for name, value in (("theta_p", theta_p), ("theta_q", theta_q)):
-        if not check_real(value, name) > 0:
-            raise InputError(f"{name} must be positive, got {value!r}")
-    exact = (isinstance(theta_p, (int, Fraction))
-             and isinstance(theta_q, (int, Fraction)))
-    tp = Fraction(theta_p) if exact else check_float(theta_p, "theta_p")
-    tq = Fraction(theta_q) if exact else check_float(theta_q, "theta_q")
-    margin = 3 * tq - 2 * tp
-    if margin <= 0:
-        raise DivergenceError(
-            f"order-3 chi term diverges for the singly truncated exponential "
-            f"pair: convergence requires 3*theta_q - 2*theta_p > 0, got "
-            f"{float(margin):.6g}"
-        )
-    num = (2 * tq ** 4 - 10 * tp * tq ** 3 + 18 * tp ** 2 * tq ** 2
-           - 14 * tp ** 3 * tq + 4 * tp ** 4)
-    den = tp ** 2 * (6 * tq ** 2 - 7 * tp * tq + 2 * tp ** 2)
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +500,15 @@ def _chi_orders(orders, lam: Number, pair: PairSpec) -> tuple:
 def chi_pm_orders(orders, lam: Number, pair: PairSpec) -> list:
     """Chi terms of a pair spec at increasing orders, from one builder pass.
 
+    A discrete pair sums over its atoms, exactly (Fractions) when p, q
+    and lam are all rational.  An atom with p_s = 0 < q_s makes every
+    order i >= 2 +inf; at i = 1 it adds q_s and the total telescopes to
+    1 - lam.  An aef or mixture pair takes the closed form.  Its order i
+    raises DivergenceError, naming the family's convergence condition,
+    when a vertex theta_p + i (theta_c - theta_p) leaves the domain, and
+    InputError when its compositions pass the composition budget, both
+    before any term of the order is formed.
+
     An order not above the one before it raises InputError naming both.
     An order that fails raises as chi_pm would at that order; the orders
     before it are not returned.
@@ -593,17 +517,17 @@ def chi_pm_orders(orders, lam: Number, pair: PairSpec) -> list:
 
 
 def chi_pm(i: int, lam: Number, pair: PairSpec):
-    """Chi term of a pair spec via its best available route."""
+    """Chi term of a pair spec at order i, as chi_pm_orders gives it:
+    exact for a rational discrete pair, the closed form for an aef or
+    mixture pair, with the same +inf, DivergenceError and InputError."""
     return chi_pm_orders((i,), lam, pair)[0]
 
 
 def chi_abs(i: int, lam: Number, pair: PairSpec):
     """Absolute chi term of a pair; continuous pairs go through quadrature."""
     if pair.kind == "discrete":
-        return chi_abs_discrete(i, lam, pair.p, pair.q)
-    return chi_pm_quadrature(i, lam, pair.fam, pair.theta_p,
-                             theta_q=pair.theta_q, mixture=pair.mixture,
-                             absolute=True)
+        return _discrete_values((i,), lam, pair.p, pair.q, absolute=True)[0][0]
+    return chi_pm_quadrature(i, lam, pair, absolute=True)
 
 
 def provenance(pair: PairSpec) -> str:

@@ -46,7 +46,6 @@ from .generators import Generator, alpha_generator
 __all__ = [
     "RatioBounds",
     "pair_ratio_bounds",
-    "expansion_terms",
     "chi_expansion",
     "remainder_bound",
     "ExpansionReport",
@@ -246,11 +245,6 @@ def _partial_sums(gen: Generator, basis: ChiBasis) -> tuple:
             sums.append(None)
         sum_floats.append(total_f)
     return terms, floats, _ExactSums(tuple(sums), modulus, big_l), sum_floats
-
-
-def expansion_terms(gen: Generator, basis: ChiBasis) -> list:
-    """Per-order contributions coeff(i) * chi_i for the basis orders."""
-    return _partial_sums(gen, basis)[0]
 
 
 def chi_expansion(gen: Generator, basis: ChiBasis, k: Optional[int] = None):

@@ -780,9 +780,10 @@ class PairSpec:
 
     @property
     def family_q(self):
-        """q as AefFamily.components takes it: theta_q, or the MixtureSpec."""
+        """q as AefFamily.components and integrate take it: the validated
+        theta_q, or the MixtureSpec."""
         if self.kind == "aef":
-            return self.theta_q
+            return self.fam.theta(self.theta_q)
         if self.kind == "mixture":
             return self.mixture
         raise InputError("a discrete pair has no exponential-family q")

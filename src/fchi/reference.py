@@ -113,7 +113,7 @@ def quadrature_f_divergence(gen: Generator, pair: PairSpec):
         v = exact_f_divergence_discrete(gen, pair.p, pair.q)
         return float(v), 0.0
     fam = pair.fam
-    q = pair.mixture if pair.kind == "mixture" else fam.theta(pair.theta_q)
+    q = pair.family_q
 
     def term(log_p: float, log_r: float) -> float:
         p = math.exp(log_p)

@@ -216,6 +216,23 @@ def rel_err(got, want):
     return abs(got_m - want_m) / max(mp.mpf("1e-300"), abs(want_m))
 
 
+def trunc_exp_chi3(theta_p, theta_q):
+    """Exact order-3, anchor-1 chi term of two singly truncated
+    exponentials with rates theta_p and theta_q.
+
+    The binomial transform of the moments M_j = theta_p^(1-j) theta_q^j /
+    ((1 - j) theta_p + j theta_q) collapses to one rational function of
+    the rates; the truncation point cancels.  Its denominator theta_p^2
+    (2 theta_q - theta_p)(3 theta_q - 2 theta_p) has its poles on the
+    order-2 and order-3 convergence boundaries, so it holds only where
+    3 theta_q > 2 theta_p.  Floats enter at their exact binary values.
+    """
+    tp, tq = Fraction(theta_p), Fraction(theta_q)
+    num = (2 * tq ** 4 - 10 * tp * tq ** 3 + 18 * tp ** 2 * tq ** 2
+           - 14 * tp ** 3 * tq + 4 * tp ** 4)
+    return num / (tp ** 2 * (6 * tq ** 2 - 7 * tp * tq + 2 * tp ** 2))
+
+
 def rand_fraction(rng, den=200, lo=1, hi=None):
     """Random Fraction k/den with k uniform in [lo, hi]."""
     if hi is None:

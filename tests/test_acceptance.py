@@ -15,12 +15,11 @@ import mpmath as mp
 import pytest
 
 import oracles
+from pairs import family_pair
 from fchi.chi import (
     basis_build_count,
-    chi_pm_aef,
-    chi_pm_discrete,
+    chi_pm,
     chi_pm_quadrature,
-    chi_pm_trunc_exp_closed,
     compute_basis,
     reset_basis_build_count,
 )
@@ -158,11 +157,11 @@ def rand_bounded_pair(rng, kind):
 
 
 def test_criterion_01_gaussian_chi_closed_form():
-    fam = gaussian_iso(1)
+    pair = family_pair(gaussian_iso(1), [0.0], [1.0])
     vals, best = None, math.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        vals = [chi_pm_aef(i, 1, fam, [0.0], [1.0]) for i in range(2, 11)]
+        vals = [chi_pm(i, 1, pair) for i in range(2, 11)]
         best = min(best, time.perf_counter() - t0)
     for i, (got, want) in enumerate(zip(vals, GAUSS_CHI), start=2):
         assert got == pytest.approx(want, rel=1e-9), f"order {i}"
@@ -301,17 +300,18 @@ def test_criterion_07_truncated_exponential_cross_check():
     for t1 in (0.5, 1.0, 1.5, 2.0, 2.5):
         for s in (0.1, 0.6, 1.1, 2.3, 4.0):
             t2 = (2.0 / 3.0) * t1 + s
-            closed = chi_pm_trunc_exp_closed(t1, t2)
-            quad = chi_pm_quadrature(3, 1, fam, [t1], [t2])
-            rel = abs(closed - quad) / max(abs(closed), abs(quad))
-            assert rel < 1e-7, f"t1={t1} t2={t2}"
+            exact = float(oracles.trunc_exp_chi3(t1, t2))
+            pair = family_pair(fam, [t1], [t2])
+            for got in (chi_pm(3, 1, pair), chi_pm_quadrature(3, 1, pair)):
+                rel = abs(got - exact) / max(abs(got), abs(exact))
+                assert rel < 1e-7, f"t1={t1} t2={t2}"
     for t1 in (0.5, 1.0, 1.5, 2.0, 2.5):
         with pytest.raises(DivergenceError):
-            chi_pm_trunc_exp_closed(t1, (2.0 / 3.0) * t1 - 0.05)
+            chi_pm(3, 1, family_pair(fam, [t1], [(2.0 / 3.0) * t1 - 0.05]))
     with pytest.raises(DivergenceError):
-        chi_pm_trunc_exp_closed(Fr(3), Fr(2))
+        chi_pm(3, 1, family_pair(fam, Fr(3), Fr(2)))
     with pytest.raises(DivergenceError):
-        chi_pm_aef(3, 1, fam, [1.5], [0.95])
+        chi_pm(3, 1, family_pair(fam, [1.5], [0.95]))
 
 
 def test_criterion_08_oracle_triangle():
@@ -353,7 +353,7 @@ def test_criterion_09_odd_chi_degeneracy_at_half():
     half = bernoulli(Fr(1, 2))
     for i in range(3, 16, 2):
         for tenth in range(1, 10):
-            val = chi_pm_discrete(i, 1, half, bernoulli(Fr(tenth, 10)))
+            val = chi_pm(i, 1, dpair(half, bernoulli(Fr(tenth, 10))))
             assert isinstance(val, (int, Fr))
             assert val == 0, f"order {i}, lambda_q {tenth}/10"
 

@@ -9,20 +9,16 @@ import numpy as np
 import pytest
 
 import oracles
+from pairs import discrete_pair, family_pair
 from fchi import DivergenceError, InputError, OverflowSaturationError, chi
 from fchi._num import compositions, multinomial
 from fchi.chi import (
     ChiBasis,
     basis_build_count,
     chi_abs,
-    chi_abs_discrete,
     chi_pm,
-    chi_pm_aef,
-    chi_pm_discrete,
-    chi_pm_mixture,
     chi_pm_orders,
     chi_pm_quadrature,
-    chi_pm_trunc_exp_closed,
     compute_basis,
     provenance,
     _signed_logsum,
@@ -42,6 +38,7 @@ from fchi.families import (
 
 BERN_P = bernoulli(Fraction(9, 10))
 BERN_Q = bernoulli(Fraction(3, 10))
+BERN = discrete_pair(BERN_P, BERN_Q)
 
 
 def aef_closed_form_oracle(i, lam, log_norm, tp, q, magnitude=False):
@@ -80,15 +77,15 @@ def aef_closed_form_oracle(i, lam, log_norm, tp, q, magnitude=False):
 
 class TestDiscrete:
     def test_known_exact_values(self):
-        assert chi_pm_discrete(2, 1, BERN_P, BERN_Q) == Fraction(4)
-        assert chi_pm_discrete(3, 1, BERN_P, BERN_Q) == Fraction(64, 3)
-        assert chi_abs_discrete(3, 1, BERN_P, BERN_Q) == Fraction(328, 15)
-        assert chi_pm_discrete(3, Fraction(1, 2), BERN_P, BERN_Q) == Fraction(659, 24)
+        assert chi_pm(2, 1, BERN) == Fraction(4)
+        assert chi_pm(3, 1, BERN) == Fraction(64, 3)
+        assert chi_abs(3, 1, BERN) == Fraction(328, 15)
+        assert chi_pm(3, Fraction(1, 2), BERN) == Fraction(659, 24)
 
     def test_order_one_telescopes(self):
-        assert chi_pm_discrete(1, Fraction(1, 2), BERN_P, BERN_Q) == Fraction(1, 2)
-        assert chi_pm_discrete(1, 1, BERN_P, BERN_Q) == 0
-        assert chi_pm_discrete(1, 3, BERN_P, BERN_Q) == -2
+        assert chi_pm(1, Fraction(1, 2), BERN) == Fraction(1, 2)
+        assert chi_pm(1, 1, BERN) == 0
+        assert chi_pm(1, 3, BERN) == -2
 
     def test_bernoulli_two_term_formula(self):
         # independent closed form: (d)^i/p1^(i-1) + (-d)^i/(1-p1)^(i-1)
@@ -96,34 +93,35 @@ class TestDiscrete:
         d = lq - lp
         for i in range(2, 31):
             want = d**i / lp ** (i - 1) + (-d) ** i / (1 - lp) ** (i - 1)
-            assert chi_pm_discrete(i, 1, bernoulli(lp), bernoulli(lq)) == want
+            pair = discrete_pair(bernoulli(lp), bernoulli(lq))
+            assert chi_pm(i, 1, pair) == want
 
     def test_float_path_agrees_with_exact(self):
         p = bernoulli(0.9)
         q = bernoulli(0.3)
         for i in (2, 3, 7, 12):
-            exact = chi_pm_discrete(i, 1, BERN_P, BERN_Q)
-            got = chi_pm_discrete(i, 1.0, p, q)
+            exact = chi_pm(i, 1, BERN)
+            got = chi_pm(i, 1.0, discrete_pair(p, q))
             assert isinstance(got, float)
             assert got == pytest.approx(float(exact), rel=1e-13)
 
     def test_p_equals_q_is_powers_of_one_minus_lam(self):
         p = bernoulli(Fraction(2, 5))
-        assert chi_pm_discrete(4, 1, p, p) == 0
-        assert chi_pm_discrete(3, Fraction(1, 2), p, p) == Fraction(1, 8)
-        assert chi_pm_discrete(3, 2, p, p) == -1
+        assert chi_pm(4, 1, discrete_pair(p, p)) == 0
+        assert chi_pm(3, Fraction(1, 2), discrete_pair(p, p)) == Fraction(1, 8)
+        assert chi_pm(3, 2, discrete_pair(p, p)) == -1
 
     def test_missing_p_support_diverges_at_order_two(self):
         p = DiscreteDistribution([Fraction(1), 0])
         q = DiscreteDistribution([Fraction(1, 2), Fraction(1, 2)])
-        assert chi_pm_discrete(2, 1, p, q) == math.inf
-        assert chi_abs_discrete(5, 1, p, q) == math.inf
+        assert chi_pm(2, 1, discrete_pair(p, q)) == math.inf
+        assert chi_abs(5, 1, discrete_pair(p, q)) == math.inf
         # float route too
         pf = DiscreteDistribution([1.0, 0.0])
         qf = DiscreteDistribution([0.5, 0.5])
-        assert chi_pm_discrete(3, 1.0, pf, qf) == math.inf
+        assert chi_pm(3, 1.0, discrete_pair(pf, qf)) == math.inf
         # order 1 stays finite and telescopes
-        assert chi_pm_discrete(1, 1, p, q) == 0
+        assert chi_pm(1, 1, discrete_pair(p, q)) == 0
 
     def test_sign_flip_against_hand_swapped_sum(self):
         """Swapping q and lam*p in the definition flips the sign by (-1)^i."""
@@ -135,14 +133,15 @@ class TestDiscrete:
                     (lam * ps - qs) ** i / ps ** (i - 1)
                     for ps, qs in zip(p.probs, q.probs)
                 )
-                assert swapped == (-1) ** i * chi_pm_discrete(i, lam, p, q)
+                assert swapped == (-1) ** i * chi_pm(i, lam,
+                                                     discrete_pair(p, q))
 
     def test_even_order_nonnegative(self):
         p = DiscreteDistribution([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
         q = DiscreteDistribution([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
         for lam in (Fraction(1, 3), 1, 2, -1):
             for i in (2, 4, 6, 8):
-                assert chi_pm_discrete(i, lam, p, q) >= 0
+                assert chi_pm(i, lam, discrete_pair(p, q)) >= 0
 
     def test_degeneracy_at_half(self):
         # odd orders vanish identically when p is the fair coin
@@ -150,23 +149,23 @@ class TestDiscrete:
         for lq_num in range(1, 10):
             q = bernoulli(Fraction(lq_num, 10))
             for i in (3, 5, 7, 9, 11, 13, 15):
-                val = chi_pm_discrete(i, 1, half, q)
+                val = chi_pm(i, 1, discrete_pair(half, q))
                 assert val == 0
                 assert isinstance(val, Fraction)
 
     def test_validation(self):
         with pytest.raises(InputError):
-            chi_pm_discrete(0, 1, BERN_P, BERN_Q)
+            chi_pm(0, 1, BERN)
         with pytest.raises(InputError):
-            chi_pm_discrete(2.0, 1, BERN_P, BERN_Q)
+            chi_pm(2.0, 1, BERN)
         with pytest.raises(InputError):
-            chi_pm_discrete(2, 0, BERN_P, BERN_Q)
+            chi_pm(2, 0, BERN)
         with pytest.raises(InputError):
-            chi_pm_discrete(2, math.nan, BERN_P, BERN_Q)
+            chi_pm(2, math.nan, BERN)
         with pytest.raises(InputError):
-            chi_pm_discrete(2, True, BERN_P, BERN_Q)
+            chi_pm(2, True, BERN)
         with pytest.raises(InputError):
-            chi_pm_discrete(2, 1, BERN_P, DiscreteDistribution([1]))
+            chi_pm(2, 1, discrete_pair(BERN_P, DiscreteDistribution([1])))
 
 
 class TestBoundChain:
@@ -175,7 +174,7 @@ class TestBoundChain:
         width = M - m
         prev = None
         for i in range(2, 13):
-            cur = chi_abs_discrete(i, 1, BERN_P, BERN_Q)
+            cur = chi_abs(i, 1, BERN)
             if prev is not None:
                 assert cur <= width * prev
             assert cur <= width**i
@@ -188,7 +187,7 @@ class TestBoundChain:
         width = M - m
         prev = None
         for i in range(2, 13):
-            cur = chi_abs_discrete(i, 1, p, q)
+            cur = chi_abs(i, 1, discrete_pair(p, q))
             if prev is not None:
                 assert cur <= width * prev
             assert cur <= width**i
@@ -205,7 +204,7 @@ class TestAefClosedForm:
                     * math.exp(j * (j - 1) * delta**2 / 2)
                     for j in range(i + 1)
                 )
-                got = chi_pm_aef(i, 1, fam, 0.0, delta)
+                got = chi_pm(i, 1, family_pair(fam, 0.0, delta))
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_gaussian_magnitude_bound(self):
@@ -215,12 +214,12 @@ class TestAefClosedForm:
                 tp, tq = shape(gap)
                 for i in range(2, 11):
                     cap = 2.0**i * math.exp(i * (i - 1) * gap**2 / 2)
-                    assert abs(chi_pm_aef(i, 1, fam, tp, tq)) <= cap
+                    assert abs(chi_pm(i, 1, family_pair(fam, tp, tq))) <= cap
 
     def test_gaussian_depends_only_on_gap(self):
         fam = gaussian_iso(2)
-        a = chi_pm_aef(4, 1, fam, [0.3, -0.4], [0.3, 0.6])
-        b = chi_pm_aef(4, 1, gaussian_iso(1), 0.0, 1.0)
+        a = chi_pm(4, 1, family_pair(fam, [0.3, -0.4], [0.3, 0.6]))
+        b = chi_pm(4, 1, family_pair(gaussian_iso(1), 0.0, 1.0))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_poisson_matches_independent_formula(self):
@@ -234,7 +233,8 @@ class TestAefClosedForm:
                 * mp.e ** (a * (mp.mpf(b) / a) ** j - (1 - j) * a - j * b)
                 for j in range(i + 1)
             )
-            assert oracles.rel_err(chi_pm_aef(i, 1, fam, tp, tq), want) < mp.mpf("1e-12")
+            got = chi_pm(i, 1, family_pair(fam, tp, tq))
+            assert oracles.rel_err(got, want) < mp.mpf("1e-12")
 
     @pytest.mark.parametrize(
         "fam,tp,tq",
@@ -252,7 +252,7 @@ class TestAefClosedForm:
         for i in (2, 3, 5):
             for lam in (1, Fraction(1, 2), 2, -1):
                 want = aef_closed_form_oracle(i, lam, fam.log_normalizer, tp, tq)
-                got = chi_pm_aef(i, lam, fam, tp, tq)
+                got = chi_pm(i, lam, family_pair(fam, tp, tq))
                 assert oracles.rel_err(got, want) < mp.mpf("1e-11")
 
     def test_vmf_d3_has_elementary_normalizer(self):
@@ -268,37 +268,39 @@ class TestAefClosedForm:
         tq = [0.0, 1.5, 0.2]
         for i in (2, 3, 4):
             want = aef_closed_form_oracle(i, 1, log_norm, tp, tq)
-            assert oracles.rel_err(chi_pm_aef(i, 1, fam, tp, tq), want) < mp.mpf("1e-11")
+            got = chi_pm(i, 1, family_pair(fam, tp, tq))
+            assert oracles.rel_err(got, want) < mp.mpf("1e-11")
 
     def test_identical_parameters_shortcut(self):
         fam = gaussian_iso(2)
         t = [0.3, 0.4]
-        assert chi_pm_aef(5, 1, fam, t, t) == 0.0
-        assert chi_pm_aef(3, Fraction(1, 2), fam, t, t) == Fraction(1, 8)
-        assert chi_pm_aef(2, 3, fam, t, t) == 4
+        pair = family_pair(fam, t, t)
+        assert chi_pm(5, 1, pair) == 0.0
+        assert chi_pm(3, Fraction(1, 2), pair) == Fraction(1, 8)
+        assert chi_pm(2, 3, pair) == 4
 
     def test_trunc_exp_domain_error_names_condition(self):
         fam = trunc_exp(0.0)
         with pytest.raises(DivergenceError) as err:
-            chi_pm_aef(3, 1, fam, 3.0, 1.0)
+            chi_pm(3, 1, family_pair(fam, 3.0, 1.0))
         msg = str(err.value)
         assert "j=" in msg
         assert "3*theta_q - 2*theta_p > 0" in msg
         with pytest.raises(DivergenceError) as err2:
-            chi_pm_aef(2, 1, fam, 5.0, 2.0)
+            chi_pm(2, 1, family_pair(fam, 5.0, 2.0))
         assert "2*theta_q - 1*theta_p > 0" in str(err2.value)
 
     def test_doubly_truncated_never_leaves_domain(self):
         fam = trunc_exp(0.0, 1.0)
         for i in (2, 3, 6):
-            val = chi_pm_aef(i, 1, fam, -40.0, 40.0)
+            val = chi_pm(i, 1, family_pair(fam, -40.0, 40.0))
             assert math.isfinite(val) or val == math.inf
 
     def test_overflow_becomes_signed_infinity(self):
         fam = gaussian_iso(1)
-        assert chi_pm_aef(2, 1, fam, 0.0, 30.0) == math.inf
+        assert chi_pm(2, 1, family_pair(fam, 0.0, 30.0)) == math.inf
         # odd order: the j=i term dominates with positive sign
-        assert chi_pm_aef(3, 1, fam, 0.0, 30.0) == math.inf
+        assert chi_pm(3, 1, family_pair(fam, 0.0, 30.0)) == math.inf
 
 
 class TestSignedLogsum:
@@ -331,16 +333,16 @@ class TestMixture:
         fam = gaussian_iso(1)
         mix = MixtureSpec([1.0], ([0.9],))
         for i in (2, 3, 4):
-            assert chi_pm_mixture(i, 1, fam, [0.2], mix) == pytest.approx(
-                chi_pm_aef(i, 1, fam, [0.2], [0.9]), rel=1e-12
-            )
+            assert chi_pm(i, 1, family_pair(fam, [0.2], mix)) == \
+                pytest.approx(chi_pm(i, 1, family_pair(fam, [0.2], [0.9])),
+                              rel=1e-12)
 
     def test_gaussian_mixture_against_quadrature(self):
         fam = gaussian_iso(1)
         mix = MixtureSpec([0.3, 0.7], ([-0.5], [0.8]))
         for i in (2, 3, 4):
-            closed = chi_pm_mixture(i, 1, fam, [0.1], mix)
-            quad = chi_pm_quadrature(i, 1, fam, [0.1], mixture=mix)
+            closed = chi_pm(i, 1, family_pair(fam, [0.1], mix))
+            quad = chi_pm_quadrature(i, 1, family_pair(fam, [0.1], mix))
             assert closed == pytest.approx(quad, rel=1e-8)
 
     def test_poisson_mixture_against_summation(self):
@@ -348,15 +350,15 @@ class TestMixture:
         mix = MixtureSpec([0.5, 0.5], ([math.log(1.0)], [math.log(3.0)]))
         tp = [math.log(2.0)]
         for i in (2, 3):
-            closed = chi_pm_mixture(i, 1, fam, tp, mix)
-            summed = chi_pm_quadrature(i, 1, fam, tp, mixture=mix)
+            closed = chi_pm(i, 1, family_pair(fam, tp, mix))
+            summed = chi_pm_quadrature(i, 1, family_pair(fam, tp, mix))
             assert closed == pytest.approx(summed, rel=1e-9)
 
     def test_trunc_exp_mixture_domain_error(self):
         fam = trunc_exp(0.0)
         mix = MixtureSpec([0.5, 0.5], ([1.0], [5.0]))
         with pytest.raises(DivergenceError) as err:
-            chi_pm_mixture(3, 1, fam, [4.0], mix)
+            chi_pm(3, 1, family_pair(fam, [4.0], mix))
         assert "every component" in str(err.value)
 
     def test_composition_budget_refuses_up_front(self):
@@ -387,7 +389,7 @@ class TestMixture:
         assert chi._COMPOSITIONS[5].top == 13
         monkeypatch.setattr(chi, "_COMPOSITIONS", {})
         with pytest.raises(InputError) as err:
-            chi_pm_mixture(14, 1, fam, [0.0], mix)
+            chi_pm(14, 1, family_pair(fam, [0.0], mix))
         assert str(err.value) == refusal
         assert chi._COMPOSITIONS == {}
 
@@ -408,12 +410,12 @@ class TestMixture:
         fam = poisson()
         monkeypatch.setattr(chi, "_COMPOSITIONS", {})
         for rates in ((1.2, 1.8), (2.5, 0.9)):
-            chi_pm_mixture(6, 1, fam, [0.0], MixtureSpec(
-                [0.5, 0.5], [[math.log(r)] for r in rates]))
+            chi_pm(6, 1, family_pair(fam, [0.0], MixtureSpec(
+                [0.5, 0.5], [[math.log(r)] for r in rates])))
         assert list(chi._COMPOSITIONS) == [2]
         table = chi._COMPOSITIONS[2]
-        chi_pm_mixture(4, -0.5, fam, [0.3], MixtureSpec([0.4, 0.6],
-                                                        ([0.1], [0.5])))
+        chi_pm(4, -0.5, family_pair(fam, [0.3], MixtureSpec(
+            [0.4, 0.6], ([0.1], [0.5]))))
         assert chi._COMPOSITIONS[2] is table
 
     @pytest.mark.parametrize(
@@ -450,8 +452,8 @@ class TestMixture:
     def test_lam_shift(self):
         fam = gaussian_iso(1)
         mix = MixtureSpec([0.4, 0.6], ([0.0], [1.0]))
-        a = chi_pm_mixture(2, Fraction(1, 2), fam, [0.5], mix)
-        b = chi_pm_quadrature(2, Fraction(1, 2), fam, [0.5], mixture=mix)
+        a = chi_pm(2, Fraction(1, 2), family_pair(fam, [0.5], mix))
+        b = chi_pm_quadrature(2, Fraction(1, 2), family_pair(fam, [0.5], mix))
         assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -467,9 +469,9 @@ class TestQuadratureRoute:
         tq = fam.natural_param([float(v) for v in q_probs])
         for i in (2, 3, 5, 8):
             for lam in (1, Fraction(1, 2), 2):
-                exact = chi_pm_discrete(i, lam, p, q)
-                closed = chi_pm_aef(i, lam, fam, tp, tq)
-                summed = chi_pm_quadrature(i, lam, fam, tp, theta_q=tq)
+                exact = chi_pm(i, lam, discrete_pair(p, q))
+                closed = chi_pm(i, lam, family_pair(fam, tp, tq))
+                summed = chi_pm_quadrature(i, lam, family_pair(fam, tp, tq))
                 assert closed == pytest.approx(float(exact), rel=1e-10)
                 assert summed == pytest.approx(float(exact), rel=1e-10)
 
@@ -478,27 +480,27 @@ class TestQuadratureRoute:
         tp = fam.natural_param(2.0)
         tq = fam.natural_param(3.5)
         for i in (2, 3, 6):
-            closed = chi_pm_aef(i, 1, fam, tp, tq)
-            summed = chi_pm_quadrature(i, 1, fam, tp, theta_q=tq)
+            closed = chi_pm(i, 1, family_pair(fam, tp, tq))
+            summed = chi_pm_quadrature(i, 1, family_pair(fam, tp, tq))
             assert summed == pytest.approx(closed, rel=1e-10)
 
     def test_backend_agreement_gaussian(self):
         # from order 12 a linear-space power overflowed to inf * 0 = nan
         fam = gaussian_iso(1)
         for i in range(2, 17):
-            closed = chi_pm_aef(i, 1, fam, 0.0, 1.0)
-            quad = chi_pm_quadrature(i, 1, fam, 0.0, theta_q=1.0)
+            closed = chi_pm(i, 1, family_pair(fam, 0.0, 1.0))
+            quad = chi_pm_quadrature(i, 1, family_pair(fam, 0.0, 1.0))
             assert quad == pytest.approx(closed, rel=1e-9)
 
     def test_backend_agreement_trunc_exp(self):
         doubly = trunc_exp(0.5, 3.0)
         singly = trunc_exp(1.0)
         for i in (2, 3):
-            a = chi_pm_aef(i, 1, doubly, -1.0, 2.0)
-            b = chi_pm_quadrature(i, 1, doubly, -1.0, theta_q=2.0)
+            a = chi_pm(i, 1, family_pair(doubly, -1.0, 2.0))
+            b = chi_pm_quadrature(i, 1, family_pair(doubly, -1.0, 2.0))
             assert b == pytest.approx(a, rel=1e-9)
-            c = chi_pm_aef(i, 1, singly, 1.0, 3.0)
-            d = chi_pm_quadrature(i, 1, singly, 1.0, theta_q=3.0)
+            c = chi_pm(i, 1, family_pair(singly, 1.0, 3.0))
+            d = chi_pm_quadrature(i, 1, family_pair(singly, 1.0, 3.0))
             assert d == pytest.approx(c, rel=1e-9)
 
     @pytest.mark.parametrize("margin", [1e-6, 1e-4, 1e-2])
@@ -508,13 +510,13 @@ class TestQuadratureRoute:
         # length 1/margin beside a head of length 1/theta_p
         fam = trunc_exp(0.0)
         tq = (i - 1 + margin) / i
-        closed = chi_pm_aef(i, lam, fam, [1.0], [tq])
-        summed = chi_pm_quadrature(i, lam, fam, [1.0], theta_q=[tq])
+        closed = chi_pm(i, lam, family_pair(fam, [1.0], [tq]))
+        summed = chi_pm_quadrature(i, lam, family_pair(fam, [1.0], [tq]))
         assert summed == pytest.approx(closed, rel=1e-9)
         # a second component just inside the first adds rates between
         mix = MixtureSpec([0.5, 0.5], ([tq], [tq + 0.02]))
-        closed = chi_pm_mixture(i, lam, fam, [1.0], mix)
-        summed = chi_pm_quadrature(i, lam, fam, [1.0], mixture=mix)
+        closed = chi_pm(i, lam, family_pair(fam, [1.0], mix))
+        summed = chi_pm_quadrature(i, lam, family_pair(fam, [1.0], mix))
         assert summed == pytest.approx(closed, rel=1e-9)
 
     def test_quadrature_short_of_its_tolerance_warns(self):
@@ -524,16 +526,17 @@ class TestQuadratureRoute:
         fam = trunc_exp(0.0)
         with pytest.warns(RuntimeWarning, match="quadrature reached its "
                                                 "limit of 300 intervals"):
-            chi_pm_quadrature(2, 1, fam, [1.25], theta_q=[0.6250000000000001])
+            chi_pm_quadrature(2, 1, family_pair(fam, [1.25],
+                                                [0.6250000000000001]))
 
     def test_singly_truncated_divergent_region_raises(self):
         fam = trunc_exp(0.0)
         with pytest.raises(DivergenceError) as err:
-            chi_pm_quadrature(3, 1, fam, 3.0, theta_q=1.0)
+            chi_pm_quadrature(3, 1, family_pair(fam, 3.0, 1.0))
         assert "3*theta_q - 2*theta_p > 0" in str(err.value)
         mix = MixtureSpec([0.5, 0.5], ([1.0], [5.0]))
         with pytest.raises(DivergenceError):
-            chi_pm_quadrature(3, 1, fam, 4.0, mixture=mix)
+            chi_pm_quadrature(3, 1, family_pair(fam, 4.0, mix))
 
     def test_poisson_atom_budget_refuses_up_front(self):
         # these would sum 1.05e10 and 9.3e11 atoms
@@ -543,8 +546,8 @@ class TestQuadratureRoute:
                         theta_q=fam.natural_param(3.5))
         calls = (
             lambda: chi_abs(40, 1, pair),
-            lambda: chi_pm_quadrature(64, 1, fam, math.log(5.0),
-                                      theta_q=math.log(7.5)),
+            lambda: chi_pm_quadrature(64, 1, family_pair(
+                fam, math.log(5.0), math.log(7.5))),
         )
         for call in calls:
             t0 = time.perf_counter()
@@ -554,73 +557,95 @@ class TestQuadratureRoute:
 
     def test_absolute_variant(self):
         fam = gaussian_iso(1)
-        even = chi_pm_quadrature(2, 1, fam, 0.0, theta_q=0.8)
-        even_abs = chi_pm_quadrature(2, 1, fam, 0.0, theta_q=0.8, absolute=True)
+        pair = family_pair(fam, 0.0, 0.8)
+        even = chi_pm_quadrature(2, 1, pair)
+        even_abs = chi_pm_quadrature(2, 1, pair, absolute=True)
         assert even_abs == pytest.approx(even, rel=1e-10)
-        odd = chi_pm_quadrature(3, 1, fam, 0.0, theta_q=0.8)
-        odd_abs = chi_pm_quadrature(3, 1, fam, 0.0, theta_q=0.8, absolute=True)
+        odd = chi_pm_quadrature(3, 1, pair)
+        odd_abs = chi_pm_quadrature(3, 1, pair, absolute=True)
         assert odd_abs >= abs(odd)
 
     def test_argument_validation(self):
         fam = gaussian_iso(1)
-        with pytest.raises(InputError):
-            chi_pm_quadrature(2, 1, fam, 0.0)
-        with pytest.raises(InputError):
-            chi_pm_quadrature(
-                2, 1, fam, 0.0, theta_q=1.0,
-                mixture=MixtureSpec([1.0], ([1.0],)),
-            )
-        with pytest.raises(InputError):
-            chi_pm_quadrature(2, 1, vmf(3), [1.0, 0.0, 0.0],
-                              theta_q=[0.0, 1.0, 0.0])
+        with pytest.raises(InputError, match="discrete pair"):
+            chi_pm_quadrature(2, 1, BERN)
+        # an aef pair's q is a natural parameter, never a mixture
+        aef_mixture = PairSpec(kind="aef", fam=fam, theta_p=0.0,
+                               theta_q=MixtureSpec([1.0], ([1.0],)))
+        for route in (chi_pm, chi_pm_quadrature):
+            with pytest.raises(InputError, match="natural parameter"):
+                route(2, 1, aef_mixture)
+        with pytest.raises(InputError, match="no density to integrate"):
+            chi_pm_quadrature(2, 1, family_pair(vmf(3), [1.0, 0.0, 0.0],
+                                                [0.0, 1.0, 0.0]))
         # a malformed component is refused before any integration starts
         bad = MixtureSpec([0.5, 0.5], ([0.0, 1.0], [1.0]))
         with pytest.raises(InputError, match="1-dimensional"):
-            chi_pm_quadrature(2, 1, fam, 0.0, mixture=bad)
+            chi_pm_quadrature(2, 1, family_pair(fam, 0.0, bad))
 
 
 class TestTruncExpClosedForm:
+    """chi_pm and chi_pm_quadrature on singly truncated pairs against the
+    exact order-3 rational function, oracles.trunc_exp_chi3."""
+
     def test_exact_rational_value(self):
-        got = chi_pm_trunc_exp_closed(1, 3)
+        got = oracles.trunc_exp_chi3(1, 3)
         assert got == Fraction(16, 35)
         assert isinstance(got, Fraction)
-        assert chi_pm_trunc_exp_closed(Fraction(1), Fraction(2)) == 0
+        assert oracles.trunc_exp_chi3(Fraction(1), Fraction(2)) == 0
+        # the oracle is the binomial transform of the exact moments
+        for tp, tq in ((1, 3), (Fraction(1, 2), Fraction(2, 5)), (2, 7)):
+            m = [Fraction(tp) ** (1 - j) * Fraction(tq) ** j
+                 / ((1 - j) * tp + j * tq) for j in range(4)]
+            assert oracles.trunc_exp_chi3(tp, tq) == \
+                m[3] - 3 * m[2] + 3 * m[1] - m[0]
+        pair = family_pair(trunc_exp(0.0), 1, 3)
+        assert chi_pm(3, 1, pair) == pytest.approx(16 / 35, rel=1e-11)
+        assert chi_pm_quadrature(3, 1, pair) == pytest.approx(16 / 35,
+                                                             rel=1e-9)
 
     def test_float_inputs(self):
-        got = chi_pm_trunc_exp_closed(1.0, 3.0)
+        # the closed form runs in floats whether the rates are given as
+        # ints, Fractions or floats
+        fam = trunc_exp(0.0)
+        got = chi_pm(3, 1, family_pair(fam, 1.0, 3.0))
         assert isinstance(got, float)
-        assert got == pytest.approx(16 / 35, rel=1e-14)
+        assert got == pytest.approx(16 / 35, rel=1e-11)
+        for tp, tq in ((1, 3), (Fraction(1), Fraction(3))):
+            assert chi_pm(3, 1, family_pair(fam, tp, tq)) == got
 
     def test_truncation_point_cancels(self):
         for a in (0.0, 2.5, 7.5):
-            via_aef = chi_pm_aef(3, 1, trunc_exp(a), 1.0, 3.0)
-            assert via_aef == pytest.approx(16 / 35, rel=1e-11)
+            pair = family_pair(trunc_exp(a), 1.0, 3.0)
+            assert chi_pm(3, 1, pair) == pytest.approx(16 / 35, rel=1e-11)
+            assert chi_pm_quadrature(3, 1, pair) == pytest.approx(16 / 35,
+                                                                 rel=1e-9)
 
     def test_matches_general_closed_form_on_grid(self):
         for tp in (0.5, 1.0, 2.0):
             for tq in (tp, 1.5 * tp, 4.0 * tp):
-                got = chi_pm_trunc_exp_closed(tp, tq)
-                want = chi_pm_aef(3, 1, trunc_exp(0.0), tp, tq)
-                assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
+                want = float(oracles.trunc_exp_chi3(tp, tq))
+                pair = family_pair(trunc_exp(0.0), tp, tq)
+                assert chi_pm(3, 1, pair) == pytest.approx(
+                    want, rel=1e-10, abs=1e-14)
+                assert chi_pm_quadrature(3, 1, pair) == pytest.approx(
+                    want, rel=1e-9, abs=1e-14)
 
     def test_divergent_region(self):
-        with pytest.raises(DivergenceError) as err:
-            chi_pm_trunc_exp_closed(3, 2)
-        assert "3*theta_q - 2*theta_p > 0" in str(err.value)
-        with pytest.raises(DivergenceError):
-            chi_pm_trunc_exp_closed(Fraction(3), Fraction(2))
+        fam = trunc_exp(0.0)
+        for tp, tq in ((3, 2), (Fraction(3), Fraction(2))):
+            pair = family_pair(fam, tp, tq)
+            with pytest.raises(DivergenceError) as err:
+                chi_pm(3, 1, pair)
+            assert "3*theta_q - 2*theta_p > 0" in str(err.value)
+            with pytest.raises(DivergenceError):
+                chi_pm_quadrature(3, 1, pair)
 
     def test_validation(self):
-        with pytest.raises(InputError):
-            chi_pm_trunc_exp_closed(1, 3, i=4)
-        with pytest.raises(InputError):
-            chi_pm_trunc_exp_closed(0, 3)
-        with pytest.raises(InputError):
-            chi_pm_trunc_exp_closed(1, -2)
-        with pytest.raises(InputError):
-            chi_pm_trunc_exp_closed(math.inf, 1.0)
-        with pytest.raises(InputError):
-            chi_pm_trunc_exp_closed("1", 3)
+        fam = trunc_exp(0.0)
+        for tp, tq in ((0, 3), (1, -2), (math.inf, 1.0), ("1", 3)):
+            with pytest.raises(InputError):
+                chi_pm(3, 1, family_pair(fam, tp, tq))
 
 
 class TestPairDispatch:
@@ -639,9 +664,8 @@ class TestPairDispatch:
         pair = PairSpec(kind="aef", fam=fam,
                         theta_p=fam.natural_param(1.0),
                         theta_q=fam.natural_param(2.0))
-        assert chi_pm(2, 1, pair) == pytest.approx(
-            chi_pm_aef(2, 1, fam, pair.theta_p, pair.theta_q), rel=1e-15
-        )
+        # E_p[(q/p)^2] = e^((2 - 1)^2 / 1) for poisson rates 1 and 2
+        assert chi_pm(2, 1, pair) == pytest.approx(math.e - 1, rel=1e-14)
         assert provenance(pair) == "aef-closed-form"
         assert chi_abs(2, 1, pair) == pytest.approx(chi_pm(2, 1, pair), rel=1e-9)
 
@@ -658,9 +682,8 @@ class TestPairDispatch:
         mix = MixtureSpec([0.5, 0.5], ([0.0], [1.0]))
         pair = PairSpec(kind="mixture", fam=fam, theta_p=np.array([0.5]),
                         mixture=mix)
-        assert chi_pm(2, 1, pair) == pytest.approx(
-            chi_pm_mixture(2, 1, fam, [0.5], mix), rel=1e-15
-        )
+        assert chi_pm(2, 1, pair) == chi_pm(2, 1, family_pair(fam, [0.5],
+                                                              mix))
         assert provenance(pair) == "aef-closed-form-mixture"
         assert chi_abs(2, 1, pair) == pytest.approx(chi_pm(2, 1, pair), rel=1e-8)
 

@@ -18,7 +18,7 @@ import pytest
 
 import fchi
 from fchi._num import format_number
-from fchi.chi import chi_pm, chi_pm_discrete
+from fchi.chi import chi_pm
 from fchi.cli import main
 from fchi.errors import DivergenceError, OverflowSaturationError
 from fchi.families import bernoulli, load_pair_spec
@@ -79,8 +79,7 @@ class TestChiCommand:
                            "--orders", "4", "--lambda", "1/2", "--rational")
         assert code == 0
         _, rows = rows_of(out)
-        want = chi_pm_discrete(4, Fr(1, 2), bernoulli(Fr(9, 10)),
-                               bernoulli(Fr(3, 10)))
+        want = chi_pm(4, Fr(1, 2), load_pair_spec(WORKED_SPEC))
         assert rows[0][1] == f"{want.numerator}/{want.denominator}"
         assert rows[0][2] == "discrete-exact"
 
@@ -515,7 +514,7 @@ class TestBeyondFloatRange:
                            "--orders", "60", "--rational")
         assert code == 0
         pair = load_pair_spec(self.SPEC)
-        want = chi_pm_discrete(60, 1, pair.p, pair.q)
+        want = chi_pm(60, 1, pair)
         assert out.splitlines()[1] == (
             f"60,{want.numerator}/{want.denominator},discrete-exact")
 

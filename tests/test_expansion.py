@@ -12,8 +12,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fchi.chi import (ChiBasis, basis_build_count, chi_abs_discrete,
-                      chi_pm_discrete, compute_basis)
+from fchi.chi import (ChiBasis, basis_build_count, chi_abs, chi_pm,
+                      compute_basis)
 from fchi.errors import DivergenceError, InputError, OverflowSaturationError
 from fchi.expansion import (
     DEFAULT_TOL,
@@ -23,7 +23,6 @@ from fchi.expansion import (
     batch_evaluate,
     chi_expansion,
     converge,
-    expansion_terms,
     pair_ratio_bounds,
     remainder_bound,
 )
@@ -49,10 +48,7 @@ from fchi.generators import (
 from fchi import expansion, reference
 
 import oracles
-
-
-def discrete_pair(p, q):
-    return PairSpec(kind="discrete", p=p, q=q)
+from pairs import discrete_pair
 
 
 def bern_pair(lp, lq):
@@ -141,11 +137,13 @@ class TestPairRatioBounds:
 
 
 class TestExpansionTerms:
+    """The per-order terms coeff(i) * chi_i that converge reports."""
+
     def test_matches_direct_products(self):
         basis = compute_basis(WORKED, 6)
-        terms = expansion_terms(kl(), basis)
+        terms = converge(kl(), basis).terms
         for i, t in zip(basis.orders, terms):
-            want = Fr((-1) ** i, i) * Fr(chi_pm_discrete(i, 1, WORKED.p, WORKED.q))
+            want = Fr((-1) ** i, i) * Fr(chi_pm(i, 1, WORKED))
             assert t == want
             assert isinstance(t, Fr)
 
@@ -158,14 +156,14 @@ class TestExpansionTerms:
         basis = compute_basis(discrete_pair(p, q), 4)
         assert basis.value(3) == math.inf
         sq = polynomial_generator([1, -2, 1])  # (u - 1)^2
-        terms = expansion_terms(sq, basis)
+        terms = converge(sq, basis).terms
         assert terms[0] == math.inf
         assert terms[1] == 0.0 and terms[2] == 0.0
 
     def test_rejects_shifted_anchor(self):
         basis = compute_basis(WORKED, 4, lam=Fr(1, 2))
         with pytest.raises(InputError, match="anchored at lam = 1"):
-            expansion_terms(kl(), basis)
+            converge(kl(), basis)
         with pytest.raises(InputError, match="anchored at lam = 1"):
             chi_expansion(kl(), basis)
 
@@ -190,14 +188,14 @@ class TestChiExpansion:
             assert isinstance(got, Fr)
             want = Fr(1) + sum(
                 Fr(-1) ** (i + 1) / Fr(2 ** i)
-                * Fr(chi_pm_discrete(i, 1, WORKED.p, WORKED.q))
+                * Fr(chi_pm(i, 1, WORKED))
                 for i in range(2, k + 1)
             )
             assert got == want
 
     def test_successive_difference_is_the_term(self):
         basis = compute_basis(WORKED, 10)
-        terms = expansion_terms(jensen_shannon(), basis)
+        terms = converge(jensen_shannon(), basis).terms
         for idx, k in enumerate(range(3, 11)):
             delta = chi_expansion(jensen_shannon(), basis, k=k) \
                 - chi_expansion(jensen_shannon(), basis, k=k - 1)
@@ -221,7 +219,7 @@ class TestChiExpansion:
     def test_squared_generator_is_chi2(self):
         basis = compute_basis(WORKED, 8)
         sq = polynomial_generator([1, -2, 1])
-        chi2 = Fr(chi_pm_discrete(2, 1, WORKED.p, WORKED.q))
+        chi2 = Fr(chi_pm(2, 1, WORKED))
         for k in range(2, 9):
             assert chi_expansion(sq, basis, k=k) == chi2
 
@@ -294,7 +292,7 @@ class TestRemainderBound:
     def test_chi_abs_envelope(self):
         rb = pair_ratio_bounds(WORKED)
         k = 6
-        env = chi_abs_discrete(k + 1, 1, WORKED.p, WORKED.q)
+        env = chi_abs(k + 1, 1, WORKED)
         got = remainder_bound(exponential(), k, rb, chi_abs_k1=env)
         sup = math.exp(float(rb.M))
         want = sup / math.factorial(k + 1) * float(env)
@@ -305,7 +303,7 @@ class TestRemainderBound:
         # produces can only shrink
         rb = pair_ratio_bounds(WORKED)
         for k in range(2, 12):
-            env = chi_abs_discrete(k + 1, 1, WORKED.p, WORKED.q)
+            env = chi_abs(k + 1, 1, WORKED)
             tight = remainder_bound(exponential(), k, rb, chi_abs_k1=env)
             crude = remainder_bound(exponential(), k, rb)
             assert tight <= crude
@@ -684,7 +682,7 @@ class TestAlphaOdd:
             p = DiscreteDistribution(oracles.rand_categorical(rng, 4))
             q = DiscreteDistribution(oracles.rand_categorical(rng, 4))
             got = alpha_odd_expansion(3, discrete_pair(p, q))
-            want = Fr(chi_pm_discrete(2, 1, p, q)) / 2
+            want = Fr(chi_pm(2, 1, discrete_pair(p, q))) / 2
             assert got == want
             assert isinstance(got, Fr)
 
@@ -727,7 +725,7 @@ class TestAlphaOdd:
         got = alpha_odd_expansion(7, WORKED)
         assert isinstance(got, Fr)
         gen = alpha_generator(7)
-        want = sum(Fr(gen.coeff(i)) * Fr(chi_pm_discrete(i, 1, WORKED.p, WORKED.q))
+        want = sum(Fr(gen.coeff(i)) * Fr(chi_pm(i, 1, WORKED))
                    for i in range(2, 5))
         assert got == want
 

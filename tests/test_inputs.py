@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fchi.chi import chi_pm, chi_pm_aef
+from fchi.chi import chi_pm
 from fchi.cli import main
 from fchi.errors import InputError
 from fchi.expansion import RatioBounds, converge, remainder_bound
 from fchi.families import (
     DiscreteDistribution,
     MixtureSpec,
+    PairSpec,
     categorical,
     gaussian_iso,
     load_pair_spec,
@@ -100,7 +101,9 @@ def _envelope(chi_abs_k1):
     (lambda: chi_pm(2, HUGE, load_pair_spec(
         {"kind": "discrete", "p": [0.5, 0.5], "q": [0.25, 0.75]})),
      "anchor lam"),
-    (lambda: chi_pm_aef(2, HUGE, poisson(), [1.0], [1.5]), "anchor lam"),
+    (lambda: chi_pm(2, HUGE, PairSpec(kind="aef", fam=poisson(),
+                                      theta_p=[1.0], theta_q=[1.5])),
+     "anchor lam"),
     (lambda: alpha_generator(HUGE), "alpha"),
     (lambda: exact_alpha_aef(HUGE, gaussian_iso(1), [0.0], [1.0]), "alpha"),
     (_envelope(math.nan), "chi_abs_k1"),

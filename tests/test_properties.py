@@ -13,17 +13,15 @@ from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 import oracles
+from pairs import family_pair
 from fchi import chi, families
 from fchi._num import safe_exp
 from fchi.chi import (
     ChiBasis,
     _discrete_values,
     _log_ratio_shift,
-    chi_abs_discrete,
+    chi_abs,
     chi_pm,
-    chi_pm_aef,
-    chi_pm_discrete,
-    chi_pm_mixture,
     chi_pm_orders,
     chi_pm_quadrature,
     compute_basis,
@@ -165,21 +163,21 @@ anchors = st.sampled_from([1, Fraction(1, 2)])
 
 @settings(max_examples=120)
 @given(aef_pairs(), chi_orders, anchors)
-def test_aef_closed_form_matches_quadrature(pair, i, lam):
-    fam, tp, tq = pair
+def test_aef_closed_form_matches_quadrature(members, i, lam):
+    pair = family_pair(*members)
     _assert_routes_agree(
-        _route(lambda: chi_pm_aef(i, lam, fam, tp, tq)),
-        _route(lambda: chi_pm_quadrature(i, lam, fam, tp, theta_q=tq)),
+        _route(lambda: chi_pm(i, lam, pair)),
+        _route(lambda: chi_pm_quadrature(i, lam, pair)),
     )
 
 
 @settings(max_examples=60)
 @given(mixture_pairs(), chi_orders, anchors)
-def test_mixture_closed_form_matches_quadrature(pair, i, lam):
-    fam, tp, mix = pair
+def test_mixture_closed_form_matches_quadrature(members, i, lam):
+    pair = family_pair(*members)
     _assert_routes_agree(
-        _route(lambda: chi_pm_mixture(i, lam, fam, tp, mix)),
-        _route(lambda: chi_pm_quadrature(i, lam, fam, tp, mixture=mix)),
+        _route(lambda: chi_pm(i, lam, pair)),
+        _route(lambda: chi_pm_quadrature(i, lam, pair)),
     )
 
 
@@ -203,11 +201,11 @@ def _outcome(fn):
        st.sampled_from([1, Fraction(1, 2), 2, -1, 0.7]))
 def test_one_component_mixture_is_the_aef_pair(pair, i, lam):
     fam, tp, tq = pair
-    # identical parameters take chi_pm_aef's exact (1 - lam)^i shortcut
+    # identical parameters take the aef pair's exact (1 - lam)^i shortcut
     assume(tp != tq)
-    assert _outcome(lambda: chi_pm_mixture(
-        i, lam, fam, tp, MixtureSpec([1.0], (tq,)))) == _outcome(
-        lambda: chi_pm_aef(i, lam, fam, tp, tq))
+    mixture = family_pair(fam, tp, MixtureSpec([1.0], (tq,)))
+    assert _outcome(lambda: chi_pm(i, lam, mixture)) == _outcome(
+        lambda: chi_pm(i, lam, family_pair(fam, tp, tq)))
 
 
 @st.composite
@@ -243,12 +241,9 @@ def singly_truncated_near_the_boundary(draw):
 @given(singly_truncated_near_the_boundary())
 def test_closed_form_and_quadrature_refuse_the_same_pairs(case):
     i, fam, tp, q = case
-    if isinstance(q, MixtureSpec):
-        closed = _route(lambda: chi_pm_mixture(i, 1, fam, tp, q))
-        summed = _route(lambda: chi_pm_quadrature(i, 1, fam, tp, mixture=q))
-    else:
-        closed = _route(lambda: chi_pm_aef(i, 1, fam, tp, q))
-        summed = _route(lambda: chi_pm_quadrature(i, 1, fam, tp, theta_q=q))
+    pair = family_pair(fam, tp, q)
+    closed = _route(lambda: chi_pm(i, 1, pair))
+    summed = _route(lambda: chi_pm_quadrature(i, 1, pair))
     assert (closed is DivergenceError) == (summed is DivergenceError)
 
 
@@ -494,14 +489,15 @@ def _typed(values):
 def test_exact_discrete_builder_matches_the_per_atom_sum(pq, k, data, lam):
     p, q = pq
     i = data.draw(st.integers(1, k))
-    basis = compute_basis(PairSpec(kind="discrete", p=p, q=q), k, lam)
+    pair = PairSpec(kind="discrete", p=p, q=q)
+    basis = compute_basis(pair, k, lam)
     assert _typed(basis.values) == _typed(
         oracles.chi_power_exact(range(2, k + 1), lam, p.probs, q.probs))
     # order 1 telescopes to 1 - lam, strays included
     for j in (1, i):
-        assert _typed([chi_pm_discrete(j, lam, p, q)]) == _typed(
+        assert _typed([chi_pm(j, lam, pair)]) == _typed(
             oracles.chi_power_exact([j], lam, p.probs, q.probs))
-        assert _typed([chi_abs_discrete(j, lam, p, q)]) == _typed(
+        assert _typed([chi_abs(j, lam, pair)]) == _typed(
             oracles.chi_power_exact([j], lam, p.probs, q.probs,
                                     absolute=True))
     assert all(isinstance(v, Fraction) or v == math.inf
